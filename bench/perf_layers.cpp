@@ -112,9 +112,12 @@ void BM_GemmPrepackedNN(benchmark::State& state) {
   Tensor b = Tensor::randn({ck, oa}, rng);
   Tensor c({cout, oa});
   const PackedGemmA packed = pack_gemm_a(cout, ck, a.data());
+  std::vector<float> scratch(
+      static_cast<size_t>(gemm_nn_prepacked_scratch(oa, ck)));
   for (auto _ : state) {
     c.fill(0.0f);
-    gemm_nn_prepacked(packed, oa, b.data(), c.data());
+    gemm_nn_prepacked(packed, oa, b.data(), oa, c.data(), oa, {},
+                      scratch.data());
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * cout * ck * oa);
@@ -161,18 +164,25 @@ void BM_Int8GemmVsFp32(benchmark::State& state) {
 }
 BENCHMARK(BM_Int8GemmVsFp32)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
+// 3×3 conv over {channels, batch} at 16×16; {12, 256} is a stage conv of
+// the fault_sweep ResNet (width 12, a 32-row chunk times T = 8 replicas).
 void BM_Conv2dForward(benchmark::State& state) {
   const int64_t c = state.range(0);
+  const int64_t n = state.range(1);
   Rng rng(2);
   nn::Conv2d conv(c, c, 3, 1, 1);
-  Tensor x = Tensor::randn({8, c, 16, 16}, rng);
+  Tensor x = Tensor::randn({n, c, 16, 16}, rng);
   ag::NoGradGuard no_grad;
   for (auto _ : state) {
     ag::Variable y = conv.forward(ag::Variable(x));
     benchmark::DoNotOptimize(y.value().data());
   }
 }
-BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2dForward)
+    ->Args({8, 8})
+    ->Args({16, 8})
+    ->Args({32, 8})
+    ->Args({12, 256});
 
 void BM_BatchNormForward(benchmark::State& state) {
   Rng rng(3);

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -23,18 +24,19 @@ namespace ripple::autograd {
 void linear_forward_into(const Tensor& x, const Tensor& w, const float* bias,
                          Tensor& out);
 
-/// Samples fused into one lowered-conv GEMM, bounded so the shared cols
-/// buffer stays cache/memory friendly (~8 MB).
-int64_t conv_group_size(int64_t n, int64_t ck, int64_t oa);
-
-/// Reusable im2col + GEMM staging buffers for the lowered convolutions.
-/// `ensure` grows (never shrinks) the buffers to the given group geometry;
-/// compiled plans size them once at compile time so the steady-state
+/// Per-participant scratch of the lowered convolutions: one slot per pool
+/// participant (ThreadPool size + 1), indexed by the conv's chunk id, so
+/// no two threads ever share a slot and nothing is thread_local. `ensure`
+/// grows (never shrinks) the slots a conv over n samples uses; compiled
+/// plans size them when they build a PlanContext, so the steady-state
 /// serving path never reallocates.
 struct ConvWorkspace {
-  Tensor cols;   // [ck, group·oa]
-  Tensor stage;  // [cout, group·oa]
-  void ensure(int64_t ck, int64_t cout, int64_t group_oa);
+  struct Slot {
+    detail::FloatStorage cols;   // one sample's patch matrix [ck, oa]
+    detail::FloatStorage bpack;  // gemm_nn_prepacked B panels
+  };
+  std::vector<Slot> slots;
+  void ensure(int64_t n, int64_t ck, int64_t oa);
 };
 
 /// out = conv2d(x, w) (+ per-channel bias). x [N,Cin,H,W],

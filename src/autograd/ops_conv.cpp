@@ -1,15 +1,16 @@
 // Convolution, pooling and resampling ops.
 //
-// Convolution forwards lower to one batched GEMM per sample group: weights
-// are packed once per call (PackedGemmA) — or fetched from the serving
-// session's frozen PackedACache when one is installed — and reused across
-// the whole batch
-// — and therefore across all T folded Monte-Carlo replicas — while im2col
-// writes each sample's patch matrix as a column block of a shared
-// [C·k², G·OA] matrix. The per-channel bias is fused into the GEMM epilogue
-// instead of re-walking the output. The patch matrix is recomputed in the
-// backward pass instead of cached, trading a little compute for a much
-// smaller autograd graph footprint.
+// Convolution forwards lower to GEMM per sample: weights are packed once
+// per call (PackedGemmA) — or fetched from the serving session's frozen
+// PackedACache when one is installed — and reused across the whole batch,
+// and therefore across all T folded Monte-Carlo replicas. One parallel_for
+// splits the batch into contiguous sample ranges, one per pool
+// participant; each participant im2cols a sample into its own workspace
+// slot and runs a single-threaded packed GEMM straight into that sample's
+// [Cout, OA] output rows, with the per-channel bias fused into the GEMM
+// epilogue. The patch matrix is recomputed in the backward pass instead of
+// cached, trading a little compute for a much smaller autograd graph
+// footprint.
 //
 // The forward arithmetic lives in the `*_forward_into` kernels (lowered.h)
 // shared with the compiled execution plans; the graph ops here call the same
@@ -29,109 +30,99 @@
 
 namespace ripple::autograd {
 
-int64_t conv_group_size(int64_t n, int64_t ck, int64_t oa) {
-  const int64_t budget = int64_t{1} << 21;  // floats
-  return std::clamp<int64_t>(budget / std::max<int64_t>(1, ck * oa), 1, n);
+void ConvWorkspace::ensure(int64_t n, int64_t ck, int64_t oa) {
+  const size_t parts = static_cast<size_t>(ThreadPool::global().size() + 1);
+  if (slots.size() < parts) slots.resize(parts);
+  const size_t cols = static_cast<size_t>(ck * oa);
+  const size_t bpack = static_cast<size_t>(gemm_nn_prepacked_scratch(oa, ck));
+  for (size_t c = 0; c < std::min(parts, static_cast<size_t>(n)); ++c) {
+    if (slots[c].cols.size() < cols) slots[c].cols.resize(cols);
+    if (slots[c].bpack.size() < bpack) slots[c].bpack.resize(bpack);
+  }
 }
 
-void ConvWorkspace::ensure(int64_t ck, int64_t cout, int64_t group_oa) {
-  if (cols.numel() < ck * group_oa) cols = Tensor::empty({ck * group_oa});
-  if (stage.numel() < cout * group_oa) stage = Tensor::empty({cout * group_oa});
+namespace {
+
+/// The lowering shared by conv1d and conv2d: one parallel_for over
+/// contiguous sample ranges, one range (chunk id) per pool participant.
+/// Each sample is im2col'd into the chunk's workspace slot and multiplied
+/// by the packed weights straight into its [Cout, OA] output rows, bias
+/// fused. `im2col(s, cols)` writes sample s's [CK, OA] patch matrix.
+template <class Im2col>
+void lower_conv(int64_t n, int64_t cout, int64_t ck, int64_t oa,
+                const float* w, const float* bias, ConvWorkspace& ws,
+                float* out, const Im2col& im2col) {
+  if (n <= 0) return;
+  // Pack-cache and backend scopes are thread-local: resolve both here, on
+  // the calling thread, before any worker runs.
+  PackedGemmA pw_local;
+  const PackedGemmA& pw = pack_gemm_a_cached(cout, ck, w, pw_local);
+  GemmEpilogue ep;
+  ep.row_bias = bias;
+  deploy::ExecutionBackend* backend = deploy::active_exec_backend();
+  ws.ensure(n, ck, oa);
+  const auto lower = [&](int64_t s, ConvWorkspace::Slot& slot, bool offer) {
+    float* cols = slot.cols.data();
+    im2col(s, cols);
+    float* os = out + s * cout * oa;
+    std::memset(os, 0, sizeof(float) * static_cast<size_t>(cout * oa));
+    if (offer && backend->conv_cols(cout, oa, ck, w, cols, os, bias))
+      return true;
+    gemm_nn_prepacked(pw, oa, cols, oa, os, oa, ep, slot.bpack.data());
+    return false;
+  };
+  // A serving session's execution backend may claim the block (int8,
+  // crossbar-mapped convs). Backends decide per weight, never per column,
+  // and record on first use, so the calling thread lowers sample 0 alone:
+  // that call settles the claim and keeps recording single-threaded.
+  int64_t first = 0;
+  bool claimed = false;
+  if (backend != nullptr) {
+    claimed = lower(0, ws.slots[0], /*offer=*/true);
+    first = 1;
+  }
+  const int64_t rest = n - first;
+  const int64_t parts =
+      std::min(static_cast<int64_t>(ws.slots.size()), rest);
+  parallel_for(parts, [&](int64_t c0, int64_t c1) {
+    for (int64_t c = c0; c < c1; ++c) {
+      ConvWorkspace::Slot& slot = ws.slots[static_cast<size_t>(c)];
+      const int64_t s1 = first + (c + 1) * rest / parts;
+      for (int64_t s = first + c * rest / parts; s < s1; ++s)
+        lower(s, slot, claimed);
+    }
+  }, /*grain=*/1);
 }
+
+}  // namespace
 
 void conv2d_forward_into(const Tensor& x, const Tensor& w, const float* bias,
                          int64_t stride, int64_t pad, ConvWorkspace& ws,
                          Tensor& out) {
-  const int64_t n = x.dim(0);
   const int64_t cin = x.dim(1);
   const int64_t h = x.dim(2);
   const int64_t wd = x.dim(3);
-  const int64_t cout = w.dim(0);
   const int64_t kh = w.dim(2);
   const int64_t kw = w.dim(3);
-  const int64_t oh = out.dim(2);
-  const int64_t ow = out.dim(3);
-  const int64_t ck = cin * kh * kw;
-  const int64_t oa = oh * ow;
   const float* px = x.data();
-  float* po = out.data();
-  PackedGemmA pw_local;
-  const PackedGemmA& pw = pack_gemm_a_cached(cout, ck, w.data(), pw_local);
-  GemmEpilogue ep;
-  ep.row_bias = bias;
-  deploy::ExecutionBackend* backend = deploy::active_exec_backend();
-  const int64_t group = conv_group_size(n, ck, oa);
-  ws.ensure(ck, cout, group * oa);
-  for (int64_t g0 = 0; g0 < n; g0 += group) {
-    const int64_t gn = std::min(group, n - g0);
-    const int64_t ldc = gn * oa;
-    float* pc = ws.cols.data();
-    parallel_for(gn, [&](int64_t s0, int64_t s1) {
-      for (int64_t s = s0; s < s1; ++s)
-        im2col_2d_ld(px + (g0 + s) * cin * h * wd, cin, h, wd, kh, kw,
-                     stride, pad, pc + s * oa, ldc);
-    }, /*grain=*/1);
-    std::memset(ws.stage.data(), 0, sizeof(float) * cout * ldc);
-    // A serving session's execution backend may claim the lowered block
-    // (crossbar-mapped convs); otherwise the packed digital GEMM runs.
-    if (backend == nullptr ||
-        !backend->conv_cols(cout, ldc, ck, w.data(), pc, ws.stage.data(),
-                            ep.row_bias)) {
-      gemm_nn_prepacked(pw, ldc, pc, ws.stage.data(), ep);
-    }
-    // Scatter the [Cout, G·OA] GEMM block back to [N, Cout, OA] layout.
-    const float* ps = ws.stage.data();
-    parallel_for(gn, [&](int64_t s0, int64_t s1) {
-      for (int64_t s = s0; s < s1; ++s)
-        for (int64_t c = 0; c < cout; ++c)
-          std::memcpy(po + ((g0 + s) * cout + c) * oa,
-                      ps + c * ldc + s * oa, sizeof(float) * oa);
-    }, /*grain=*/1);
-  }
+  lower_conv(x.dim(0), w.dim(0), cin * kh * kw, out.dim(2) * out.dim(3),
+             w.data(), bias, ws, out.data(), [&](int64_t s, float* cols) {
+               im2col_2d(px + s * cin * h * wd, cin, h, wd, kh, kw, stride,
+                         pad, cols);
+             });
 }
 
 void conv1d_forward_into(const Tensor& x, const Tensor& w, const float* bias,
                          int64_t stride, int64_t pad, ConvWorkspace& ws,
                          Tensor& out) {
-  const int64_t n = x.dim(0);
   const int64_t cin = x.dim(1);
   const int64_t l = x.dim(2);
-  const int64_t cout = w.dim(0);
   const int64_t k = w.dim(2);
-  const int64_t ol = out.dim(2);
-  const int64_t ck = cin * k;
   const float* px = x.data();
-  float* po = out.data();
-  PackedGemmA pw_local;
-  const PackedGemmA& pw = pack_gemm_a_cached(cout, ck, w.data(), pw_local);
-  GemmEpilogue ep;
-  ep.row_bias = bias;
-  deploy::ExecutionBackend* backend = deploy::active_exec_backend();
-  const int64_t group = conv_group_size(n, ck, ol);
-  ws.ensure(ck, cout, group * ol);
-  for (int64_t g0 = 0; g0 < n; g0 += group) {
-    const int64_t gn = std::min(group, n - g0);
-    const int64_t ldc = gn * ol;
-    float* pc = ws.cols.data();
-    parallel_for(gn, [&](int64_t s0, int64_t s1) {
-      for (int64_t s = s0; s < s1; ++s)
-        im2col_1d_ld(px + (g0 + s) * cin * l, cin, l, k, stride, pad,
-                     pc + s * ol, ldc);
-    }, /*grain=*/1);
-    std::memset(ws.stage.data(), 0, sizeof(float) * cout * ldc);
-    if (backend == nullptr ||
-        !backend->conv_cols(cout, ldc, ck, w.data(), pc, ws.stage.data(),
-                            ep.row_bias)) {
-      gemm_nn_prepacked(pw, ldc, pc, ws.stage.data(), ep);
-    }
-    const float* ps = ws.stage.data();
-    parallel_for(gn, [&](int64_t s0, int64_t s1) {
-      for (int64_t s = s0; s < s1; ++s)
-        for (int64_t c = 0; c < cout; ++c)
-          std::memcpy(po + ((g0 + s) * cout + c) * ol,
-                      ps + c * ldc + s * ol, sizeof(float) * ol);
-    }, /*grain=*/1);
-  }
+  lower_conv(x.dim(0), w.dim(0), cin * k, out.dim(2), w.data(), bias, ws,
+             out.data(), [&](int64_t s, float* cols) {
+               im2col_1d(px + s * cin * l, cin, l, k, stride, pad, cols);
+             });
 }
 
 void maxpool2d_forward_into(const Tensor& x, int64_t kernel, int64_t stride,
@@ -254,6 +245,14 @@ void upsample_nearest2x_into(const Tensor& x, Tensor& out) {
 
 namespace {
 
+// The graph ops' conv workspace, kept per calling thread: repeated graph
+// convs reuse warm slots instead of allocating (and page-faulting in) fresh
+// ones every call. Compiled plans own theirs in the PlanContext.
+ConvWorkspace& graph_conv_workspace() {
+  thread_local ConvWorkspace ws;
+  return ws;
+}
+
 // Appends a structured conv TraceStep when a recorder is active.
 void trace_conv(deploy::OpTag tag, const Tensor& x, const Tensor& out,
                 const Tensor& w, const Tensor& b, bool has_bias,
@@ -311,12 +310,9 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
   }
 
   Tensor out = Tensor::empty({n, cout, oh, ow});
-  {
-    ConvWorkspace ws;
-    conv2d_forward_into(x.value(), w.value(),
-                        has_bias ? b.value().data() : nullptr, stride, pad, ws,
-                        out);
-  }
+  conv2d_forward_into(x.value(), w.value(),
+                      has_bias ? b.value().data() : nullptr, stride, pad,
+                      graph_conv_workspace(), out);
   trace_conv(deploy::OpTag::kConv2d, x.value(), out, w.value(),
              has_bias ? b.value() : Tensor(), has_bias, stride, pad);
 
@@ -388,12 +384,9 @@ Variable conv1d(const Variable& x, const Variable& w, const Variable& b,
   }
 
   Tensor out = Tensor::empty({n, cout, ol});
-  {
-    ConvWorkspace ws;
-    conv1d_forward_into(x.value(), w.value(),
-                        has_bias ? b.value().data() : nullptr, stride, pad, ws,
-                        out);
-  }
+  conv1d_forward_into(x.value(), w.value(),
+                      has_bias ? b.value().data() : nullptr, stride, pad,
+                      graph_conv_workspace(), out);
   trace_conv(deploy::OpTag::kConv1d, x.value(), out, w.value(),
              has_bias ? b.value() : Tensor(), has_bias, stride, pad);
 

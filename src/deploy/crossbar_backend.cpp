@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "tensor/check.h"
 #include "tensor/random.h"
@@ -89,6 +90,26 @@ const imc::TiledArray* CrossbarBackend::array(const float* w, int64_t m,
   return out;
 }
 
+namespace {
+
+/// Per-thread analog-chain buffers: a frozen backend serves any number of
+/// threads, and kept buffers make steady-state forwards allocation-free.
+struct AnalogScratch {
+  imc::TiledArray::MatvecScratch matvec;
+  std::vector<float> xt, y;  // conv_cols: transposed patches, array output
+};
+
+AnalogScratch& analog_scratch() {
+  thread_local AnalogScratch scratch;
+  return scratch;
+}
+
+void grow(std::vector<float>& v, int64_t size) {
+  if (v.size() < static_cast<size_t>(size)) v.resize(static_cast<size_t>(size));
+}
+
+}  // namespace
+
 bool CrossbarBackend::linear(const Tensor& x, const Tensor& w,
                              const float* bias, Tensor& out) {
   const int64_t n = x.dim(0);
@@ -96,16 +117,13 @@ bool CrossbarBackend::linear(const Tensor& x, const Tensor& w,
   const int64_t fout = w.dim(0);
   const imc::TiledArray* ta = array(w.data(), fout, fin);
   if (ta == nullptr) return false;
-  Tensor y = ta->matvec(x);  // [N, Fout], analog signal chain
-  float* po = out.data();
-  const float* py = y.data();
-  if (bias == nullptr) {
-    std::memcpy(po, py, sizeof(float) * static_cast<size_t>(n * fout));
-  } else {
+  // [N, Fout], analog signal chain.
+  ta->matvec_into(x.data(), n, out.data(), analog_scratch().matvec);
+  if (bias != nullptr) {
     // Digital bias addition, post-ADC (imc/crossbar_linear.h semantics).
+    float* po = out.data();
     for (int64_t i = 0; i < n; ++i)
-      for (int64_t j = 0; j < fout; ++j)
-        po[i * fout + j] = py[i * fout + j] + bias[j];
+      for (int64_t j = 0; j < fout; ++j) po[i * fout + j] += bias[j];
   }
   return true;
 }
@@ -118,12 +136,14 @@ bool CrossbarBackend::conv_cols(int64_t cout, int64_t l, int64_t ck,
   if (ta == nullptr) return false;
   // The crossbar computes batched x·Wᵀ; the conv block wants
   // W·cols = (colsᵀ·Wᵀ)ᵀ, so transpose the patch matrix through the array.
-  Tensor xt = Tensor::empty({l, ck});
-  float* pxt = xt.data();
+  AnalogScratch& scratch = analog_scratch();
+  grow(scratch.xt, l * ck);
+  grow(scratch.y, l * cout);
+  float* pxt = scratch.xt.data();
   for (int64_t r = 0; r < ck; ++r)
     for (int64_t c = 0; c < l; ++c) pxt[c * ck + r] = cols[r * l + c];
-  Tensor y = ta->matvec(xt);  // [L, Cout]
-  const float* py = y.data();
+  ta->matvec_into(pxt, l, scratch.y.data(), scratch.matvec);  // [L, Cout]
+  const float* py = scratch.y.data();
   for (int64_t c = 0; c < cout; ++c) {
     const float b = row_bias != nullptr ? row_bias[c] : 0.0f;
     for (int64_t j = 0; j < l; ++j) stage[c * l + j] = py[j * cout + c] + b;

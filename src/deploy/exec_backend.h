@@ -66,10 +66,14 @@ class ExecutionBackend {
     return linear(x, w, ep.bias, out);
   }
 
-  /// The im2col-lowered convolution block:
+  /// The im2col-lowered convolution block of one sample:
   ///   stage[Cout, L] = W[Cout, CK] · cols[CK, L]  (+ row_bias[c] per row).
-  /// `w` is the conv weight's flat [Cout, CK] data, `stage` is zeroed by
-  /// the caller. Return semantics as linear().
+  /// `w` is the conv weight's flat [Cout, CK] data, `stage` is the
+  /// sample's output rows, zeroed by the caller. Return semantics as
+  /// linear(), with one more rule: the decision may depend on the weight,
+  /// never on the columns. The lowering offers sample 0 on the calling
+  /// thread and, only if that is claimed, the remaining samples from pool
+  /// workers concurrently.
   virtual bool conv_cols(int64_t cout, int64_t l, int64_t ck, const float* w,
                          const float* cols, float* stage,
                          const float* row_bias) {

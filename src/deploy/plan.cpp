@@ -238,7 +238,7 @@ struct PlanBuilder {
   std::vector<int> slot_of;         // per buffer, -1 = never materialized
   std::vector<int64_t> slot_numel;  // per arena slot
   int out_buf = -1;
-  int64_t max_cols = 0, max_stage = 0;
+  std::vector<std::array<int64_t, 3>> conv_shapes;  // (n, ck, oa) per conv
 
   bool fail(std::string m) {
     if (err.empty()) err = std::move(m);
@@ -764,7 +764,7 @@ bool PlanBuilder::emit() {
     release(psteps[s].out2, s);
   }
 
-  // Conv im2col workspace maxima over the final shapes.
+  // Conv workspace geometry over the final shapes.
   for (const PlanStep& p : psteps) {
     if (p.tag != OpTag::kConv2d && p.tag != OpTag::kConv1d) continue;
     if (p.args.empty() || p.args[0] < 0) {
@@ -776,9 +776,7 @@ bool PlanBuilder::emit() {
     const int64_t cout = p.w.dim(0);
     const int64_t ck = p.w.numel() / cout;
     const int64_t oa = shape_numel(os) / (os[0] * cout);
-    const int64_t group = autograd::conv_group_size(n, ck, oa);
-    max_cols = std::max(max_cols, ck * group * oa);
-    max_stage = std::max(max_stage, cout * group * oa);
+    conv_shapes.push_back({n, ck, oa});
   }
   return true;
 }
@@ -872,10 +870,8 @@ std::unique_ptr<PlanContext> ExecutionPlan::make_context() const {
       ctx->values_[i] = ctx->slots_[buffers_[i].slot].reshaped(buffers_[i].shape);
     }
   }
-  if (conv_ws_cols_ > 0) {
-    ctx->conv_ws_.cols = Tensor::empty({conv_ws_cols_});
-    ctx->conv_ws_.stage = Tensor::empty({conv_ws_stage_});
-  }
+  for (const auto& [n, ck, oa] : conv_shapes_)
+    ctx->conv_ws_.ensure(n, ck, oa);
   return ctx;
 }
 
@@ -1024,8 +1020,7 @@ std::unique_ptr<ExecutionPlan> compile_trace(std::vector<TraceStep> steps,
   plan->input_buffer_ = 0;
   plan->output_buffer_ = b.out_buf;
   plan->replicas_ = b.t;
-  plan->conv_ws_cols_ = b.max_cols;
-  plan->conv_ws_stage_ = b.max_stage;
+  plan->conv_shapes_ = std::move(b.conv_shapes);
   plan->input_shape_ = plan->buffers_[0].shape;
   plan->output_shape_ = plan->buffers_[b.out_buf].shape;
   b.stats.steps = static_cast<int>(plan->steps_.size());

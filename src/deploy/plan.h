@@ -27,6 +27,7 @@
 // plan is installed).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -165,8 +166,7 @@ class ExecutionPlan {
   int input_buffer_ = -1;
   int output_buffer_ = -1;
   int64_t replicas_ = 1;
-  int64_t conv_ws_cols_ = 0;   // max cols numel over conv steps
-  int64_t conv_ws_stage_ = 0;  // max stage numel over conv steps
+  std::vector<std::array<int64_t, 3>> conv_shapes_;  // (n, ck, oa) per conv
   Shape input_shape_;
   Shape output_shape_;
   PlanStats stats_;

@@ -14,10 +14,11 @@
 // independent per-layer stream seeded with layer_stream_seed(base, i). A
 // layer then consumes mask pairs in replica order r = 0..T-1 — exactly the
 // order T serial passes would consume them — so the batched and serial
-// paths sample identical masks for the same base seed and agree to float
-// rounding (the grouped conv GEMM tiles the two batch widths differently,
-// so last-ulp differences are possible; tests assert 1e-4 agreement). See
-// models/evaluate.h for the model-level drivers.
+// paths sample identical masks for the same base seed. The conv lowering
+// runs the same per-sample GEMM at any batch width and GEMM results do not
+// depend on tile boundaries, so the ResNet agrees bit for bit
+// (tests/serve_test.cpp); the model-level tests here assert 1e-4
+// agreement. See models/evaluate.h for the model-level drivers.
 #pragma once
 
 #include <cstdint>

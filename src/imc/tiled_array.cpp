@@ -174,10 +174,9 @@ void TiledArray::restore() {
   for (Tile& tile : tiles_) tile.current_ = tile.programmed_;
 }
 
-void TiledArray::run_tile(const Tile& tile, const double* v,
+void TiledArray::run_tile(const Tile& tile, const double* v, double* cur,
                           int64_t* out_codes) const {
   const TileSpec& s = tile.spec;
-  std::vector<double> cur(static_cast<size_t>(s.phys_cols), 0.0);
   for (int64_t pc = 0; pc < s.phys_cols; ++pc) {
     double i_col = 0.0;
     for (int64_t r = 0; r < s.rows; ++r) {
@@ -185,7 +184,7 @@ void TiledArray::run_tile(const Tile& tile, const double* v,
           tile.current_[static_cast<size_t>(r * s.phys_cols + pc)];
       i_col += v[s.row_begin + r] * (p.g_pos - p.g_neg);
     }
-    cur[static_cast<size_t>(pc)] = i_col;
+    cur[pc] = i_col;
   }
   const int share = config_.adc_share;
   for (int64_t g0 = 0; g0 < s.phys_cols; g0 += share) {
@@ -196,14 +195,14 @@ void TiledArray::run_tile(const Tile& tile, const double* v,
       // front-end gain that still covers the group's peak current.
       double peak = 0.0;
       for (int64_t j = 0; j < gn; ++j)
-        peak = std::max(peak, std::fabs(cur[static_cast<size_t>(g0 + j)]));
+        peak = std::max(peak, std::fabs(cur[g0 + j]));
       while (k < kMaxRangeShift &&
              peak <= i_fs_ / static_cast<double>(int64_t{1} << (k + 1)))
         ++k;
     }
     const double fs_g = i_fs_ / static_cast<double>(int64_t{1} << k);
     for (int64_t j = 0; j < gn; ++j)
-      out_codes[g0 + j] = adc_code(cur[static_cast<size_t>(g0 + j)], fs_g,
+      out_codes[g0 + j] = adc_code(cur[g0 + j], fs_g,
                                    config_.device.adc_bits)
                           << (kMaxRangeShift - k);
   }
@@ -218,9 +217,27 @@ Tensor TiledArray::matvec(const Tensor& x) const {
       << "matvec input shape " << shape_to_string(x.shape())
       << " incompatible with " << plan_.rows << " rows";
   const int64_t n = batched ? x.dim(0) : 1;
-  Tensor out = batched ? Tensor({n, plan_.cols}) : Tensor({plan_.cols});
-  const float* px = x.data();
-  float* po = out.data();
+  Tensor out = batched ? Tensor::empty({n, plan_.cols})
+                       : Tensor::empty({plan_.cols});
+  MatvecScratch scratch;
+  matvec_into(x.data(), n, out.data(), scratch);
+  return out;
+}
+
+void TiledArray::matvec_into(const float* px, int64_t n, float* po,
+                             MatvecScratch& scratch) const {
+  RIPPLE_CHECK(programmed()) << "matvec before program()";
+  if (monolithic_ != nullptr) {
+    Tensor x = Tensor::empty({n, plan_.rows});
+    std::copy(px, px + n * plan_.rows, x.data());
+    const Tensor y = monolithic_->matvec(x);
+    std::copy(y.data(), y.data() + n * plan_.cols, po);
+    return;
+  }
+  const auto grow = [](auto& v, int64_t size) {
+    if (v.size() < static_cast<size_t>(size))
+      v.resize(static_cast<size_t>(size));
+  };
 
   const CrossbarConfig& d = config_.device;
   const double g_span = d.g_on - d.g_off;
@@ -229,17 +246,26 @@ Tensor TiledArray::matvec(const Tensor& x) const {
   const int64_t planes = plan_.bits == 0 ? 1 : plan_.bits;
   const int64_t tile_count = plan_.tile_count();
   // Per-tile slots in the code scratch, one block of batch rows at a time.
-  std::vector<int64_t> code_offset(static_cast<size_t>(tile_count) + 1, 0);
+  grow(scratch.code_offset, tile_count + 1);
+  int64_t* code_offset = scratch.code_offset.data();
+  code_offset[0] = 0;
   for (int64_t t = 0; t < tile_count; ++t)
-    code_offset[static_cast<size_t>(t + 1)] =
-        code_offset[static_cast<size_t>(t)] + tiles_[static_cast<size_t>(t)]
-                                                  .spec.phys_cols;
-  const int64_t code_stride = code_offset[static_cast<size_t>(tile_count)];
+    code_offset[t + 1] =
+        code_offset[t] + tiles_[static_cast<size_t>(t)].spec.phys_cols;
+  const int64_t code_stride = code_offset[tile_count];
+  const int64_t block = std::min(kRowBlock, n);
+  grow(scratch.xmax, block);
+  grow(scratch.volts, block * rows);
+  grow(scratch.codes, block * code_stride);
+  grow(scratch.cur, block * code_stride);
+  grow(scratch.acc, block * plan_.cols * planes);
+  double* xmax = scratch.xmax.data();
+  double* volts = scratch.volts.data();
+  int64_t* codes = scratch.codes.data();
+  double* cur = scratch.cur.data();
 
   for (int64_t b0 = 0; b0 < n; b0 += kRowBlock) {
     const int64_t bn = std::min(kRowBlock, n - b0);
-    std::vector<double> xmax(static_cast<size_t>(bn), 0.0);
-    std::vector<double> volts(static_cast<size_t>(bn * rows), 0.0);
     // One DAC pass per input row over the full fan-in — the word-line
     // drivers are shared by every tile of a grid row, exactly like the
     // monolithic chain.
@@ -249,8 +275,8 @@ Tensor TiledArray::matvec(const Tensor& x) const {
         double mx = 0.0;
         for (int64_t r = 0; r < rows; ++r)
           mx = std::max(mx, std::fabs(static_cast<double>(xin[r])));
-        xmax[static_cast<size_t>(b)] = mx;
-        double* v = volts.data() + b * rows;
+        xmax[b] = mx;
+        double* v = volts + b * rows;
         for (int64_t r = 0; r < rows; ++r) {
           const double vq = dac_quantize_value(static_cast<double>(xin[r]),
                                                mx, d.dac_bits);
@@ -261,14 +287,13 @@ Tensor TiledArray::matvec(const Tensor& x) const {
 
     // Tile MVMs in parallel: every (input row, tile) pair digitizes its
     // partial column codes independently.
-    std::vector<int64_t> codes(static_cast<size_t>(bn * code_stride), 0);
     parallel_for(bn * tile_count, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
         const int64_t b = i / tile_count;
         const int64_t t = i % tile_count;
-        run_tile(tiles_[static_cast<size_t>(t)], volts.data() + b * rows,
-                 codes.data() + b * code_stride +
-                     code_offset[static_cast<size_t>(t)]);
+        const int64_t slot = b * code_stride + code_offset[t];
+        run_tile(tiles_[static_cast<size_t>(t)], volts + b * rows,
+                 cur + slot, codes + slot);
       }
     }, /*grain=*/1);
 
@@ -276,26 +301,24 @@ Tensor TiledArray::matvec(const Tensor& x) const {
     // row blocks, then the binary bit-slice recombine (mapping.h
     // convention: MSB plane negative), then one conversion to float units.
     parallel_for(bn, [&](int64_t lo, int64_t hi) {
-      std::vector<int64_t> acc(static_cast<size_t>(plan_.cols * planes));
       for (int64_t b = lo; b < hi; ++b) {
-        std::fill(acc.begin(), acc.end(), 0);
+        int64_t* acc = scratch.acc.data() + b * plan_.cols * planes;
+        std::fill(acc, acc + plan_.cols * planes, 0);
         for (int64_t t = 0; t < tile_count; ++t) {
           const TileSpec& s = tiles_[static_cast<size_t>(t)].spec;
-          const int64_t* tc = codes.data() + b * code_stride +
-                              code_offset[static_cast<size_t>(t)];
-          int64_t* slot = acc.data() + s.col_begin * planes;
+          const int64_t* tc = codes + b * code_stride + code_offset[t];
+          int64_t* slot = acc + s.col_begin * planes;
           for (int64_t pc = 0; pc < s.phys_cols; ++pc) slot[pc] += tc[pc];
         }
-        const double mx = xmax[static_cast<size_t>(b)];
+        const double mx = xmax[b];
         float* orow = po + (b0 + b) * plan_.cols;
         for (int64_t c = 0; c < plan_.cols; ++c) {
           int64_t s_fp = 0;
           if (planes == 1) {
-            s_fp = acc[static_cast<size_t>(c)];
+            s_fp = acc[c];
           } else {
             for (int64_t bit = 0; bit < planes; ++bit) {
-              const int64_t term = acc[static_cast<size_t>(c * planes + bit)]
-                                   << bit;
+              const int64_t term = acc[c * planes + bit] << bit;
               s_fp += bit == planes - 1 ? -term : term;
             }
           }
@@ -309,7 +332,6 @@ Tensor TiledArray::matvec(const Tensor& x) const {
       }
     }, /*grain=*/1);
   }
-  return out;
 }
 
 Tensor TiledArray::matvec_ideal(const Tensor& x) const {

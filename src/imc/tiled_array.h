@@ -92,6 +92,20 @@ class TiledArray {
   /// regardless of thread count.
   Tensor matvec(const Tensor& x) const;
 
+  /// Reusable buffers of matvec_into. They grow on first use and are
+  /// never shrunk, so a caller keeping one per thread serves steady-state
+  /// batches without heap allocation.
+  struct MatvecScratch {
+    std::vector<int64_t> code_offset, codes, acc;
+    std::vector<double> xmax, volts, cur;
+  };
+
+  /// matvec of x[n, rows] (row-major) into out[n, cols]; bit-identical to
+  /// matvec. Allocation-free once `scratch` has grown, except on the
+  /// degenerate monolithic plan, which runs the legacy Crossbar::matvec.
+  void matvec_into(const float* x, int64_t n, float* out,
+                   MatvecScratch& scratch) const;
+
   /// Reference digital computation with the ideal (pre-noise,
   /// pre-quantization) weights — bit-identical to the monolithic
   /// Crossbar::matvec_ideal for any tiling.
@@ -109,8 +123,10 @@ class TiledArray {
 
   /// Column conversion codes of one tile for one driven input row `v`
   /// (full-fan-in voltages), in fixed-point units of
-  /// i_fs/(levels·2^kMaxRangeShift).
-  void run_tile(const Tile& tile, const double* v, int64_t* out_codes) const;
+  /// i_fs/(levels·2^kMaxRangeShift). `cur` is phys_cols doubles of
+  /// scratch for the column currents.
+  void run_tile(const Tile& tile, const double* v, double* cur,
+                int64_t* out_codes) const;
 
   TiledArrayConfig config_;
   TilePlan plan_;

@@ -1,11 +1,13 @@
 #include "nn/activation.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "core/lazy_stem.h"
 #include "core/mc_stream.h"
 #include "tensor/ops.h"
+#include "tensor/threadpool.h"
 
 namespace ripple::nn {
 
@@ -33,7 +35,9 @@ namespace {
 /// per-request stream reproduces the same noise from any thread. One
 /// generator per folded MC replica, shared across the three noise tensors,
 /// so a batched [t·N, ...] pass replays the serial per-replica draw order
-/// exactly (the dropout layers' contract).
+/// exactly (the dropout layers' contract). The replica blocks are filled
+/// in parallel: each touches only its own generator, so the values are
+/// those of a serial loop over replicas.
 autograd::Variable apply_context_noise(const autograd::Variable& x,
                                        ActivationNoiseConfig& cfg,
                                        core::McStreamContext& ctx) {
@@ -56,8 +60,10 @@ autograd::Variable apply_context_noise(const autograd::Variable& x,
         ctx.chunk_offset()));
   const auto draw = [&](auto&& fill) {
     Tensor noise = Tensor::empty(xin.shape());
-    for (int64_t r = 0; r < t; ++r)
-      fill(noise.data() + r * block, subs[static_cast<size_t>(r)]);
+    parallel_for(t, [&](int64_t r0, int64_t r1) {
+      for (int64_t r = r0; r < r1; ++r)
+        fill(noise.data() + r * block, subs[static_cast<size_t>(r)]);
+    }, /*grain=*/std::max<int64_t>(1, 16384 / std::max<int64_t>(1, block)));
     return noise;
   };
   autograd::Variable y = xin;

@@ -39,8 +39,9 @@ int64_t LatencyHistogram::bucket_upper_us(size_t bucket) {
 
 void LatencyHistogram::record(int64_t us) {
   buckets_[bucket_for(us)].fetch_add(1, relaxed);
+  // Release: a reader that acquires total_us_ also sees this bucket add.
   total_us_.fetch_add(static_cast<uint64_t>(std::max<int64_t>(0, us)),
-                      relaxed);
+                      std::memory_order_release);
 }
 
 uint64_t LatencyHistogram::count() const {
@@ -91,9 +92,13 @@ uint64_t LatencyHistogram::bucket(size_t b) const {
 }
 
 void LatencyHistogram::merge_from(const LatencyHistogram& other) {
+  // total_us first (acquire, paired with record's release): every sample
+  // it covers has its bucket add visible to the bucket reads below, so the
+  // merged buckets can only run ahead of the merged sum, never behind.
+  const uint64_t total = other.total_us_.load(std::memory_order_acquire);
   for (size_t b = 0; b < kBuckets; ++b)
     buckets_[b].fetch_add(other.buckets_[b].load(relaxed), relaxed);
-  total_us_.fetch_add(other.total_us_.load(relaxed), relaxed);
+  total_us_.fetch_add(total, relaxed);
 }
 
 void LatencyHistogram::reset() {

@@ -53,7 +53,11 @@ class LatencyHistogram {
 
   /// Accumulates another histogram's counts into this one (cluster-wide
   /// views merge the per-replica histograms). Concurrent records on either
-  /// side stay consistent bucket-wise (relaxed snapshot).
+  /// side stay consistent bucket-wise. `other`'s total_us is read before
+  /// its buckets, so the skew is one-sided: the merged buckets may include
+  /// samples recorded into `other` during the merge whose latency is not
+  /// in the merged total_us, but the total never covers a sample missing
+  /// from the buckets.
   void merge_from(const LatencyHistogram& other);
 
   /// Zeros every bucket and the running sum. Not atomic as a whole: a

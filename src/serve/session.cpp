@@ -419,8 +419,14 @@ bool InferenceSession::run_chunk_planned(const Tensor& xc,
   std::unique_lock<std::mutex> build(e->build_mutex, std::try_to_lock);
   if (!build.owns_lock()) return false;
   st = e->state.load(std::memory_order_acquire);
-  if (!(st != PlanCacheEntry::kBuilding && e->fingerprint == fp))
-    compile_entry(*e, xc, chunk_offset, fp);
+  if (!(st != PlanCacheEntry::kBuilding && e->fingerprint == fp)) {
+    Tensor verified;
+    compile_entry(*e, xc, chunk_offset, fp, &verified);
+    if (verified.defined()) {
+      *out = std::move(verified);
+      return true;
+    }
+  }
   build.unlock();
   if (e->state.load(std::memory_order_acquire) == PlanCacheEntry::kReady &&
       e->fingerprint == fp)
@@ -430,7 +436,8 @@ bool InferenceSession::run_chunk_planned(const Tensor& xc,
 
 void InferenceSession::compile_entry(PlanCacheEntry& e, const Tensor& xc,
                                      int64_t chunk_offset,
-                                     uint64_t fingerprint) const {
+                                     uint64_t fingerprint,
+                                     Tensor* verified) const {
   const auto fail = [&](std::string why) {
     std::lock_guard<std::mutex> lg(e.pool_mutex);
     e.plan.reset();
@@ -472,7 +479,8 @@ void InferenceSession::compile_entry(PlanCacheEntry& e, const Tensor& xc,
            std::memcmp(a.data(), b.data(),
                        sizeof(float) * static_cast<size_t>(a.numel())) == 0;
   };
-  if (!bit_equal(run_plan(xc), traced))
+  Tensor planned = run_plan(xc);
+  if (!bit_equal(planned, traced))
     return fail("verification failed: plan diverges from graph on traced "
                 "input");
   Tensor xp = xc.clone();
@@ -493,6 +501,7 @@ void InferenceSession::compile_entry(PlanCacheEntry& e, const Tensor& xc,
   e.fallback_reason.clear();
   e.fingerprint = fingerprint;
   e.state.store(PlanCacheEntry::kReady, std::memory_order_release);
+  *verified = std::move(planned);
 }
 
 Tensor InferenceSession::mc_outputs(const Tensor& x) const {

@@ -295,9 +295,13 @@ class InferenceSession {
   bool run_chunk_planned(const Tensor& xc, int64_t chunk_offset,
                          Tensor* out) const;
   /// Traces + compiles + verifies a plan into `e`; on any failure the
-  /// entry is marked failed and the shape serves from the graph.
+  /// entry is marked failed and the shape serves from the graph. On
+  /// success `*verified` receives the plan's output on `xc`, already
+  /// checked bit-equal to the traced graph output, so the compiling call
+  /// serves it instead of executing the plan again.
   void compile_entry(PlanCacheEntry& e, const Tensor& xc,
-                     int64_t chunk_offset, uint64_t fingerprint) const;
+                     int64_t chunk_offset, uint64_t fingerprint,
+                     Tensor* verified) const;
   /// Forward under the pack cache; first call records + freezes it.
   Tensor forward_cached(const Tensor& stacked_or_chunk) const;
 

@@ -205,22 +205,28 @@ void pack_b_nt(const float* b, int64_t ldb /* = k */, int64_t k0, int64_t kb,
 
 // ---- epilogue --------------------------------------------------------------
 
+/// Epilogue over rows [i0, i1) of an n-column block of C (leading dim ldc).
+void epilogue_rows(int64_t i0, int64_t i1, int64_t n, float* c, int64_t ldc,
+                   const GemmEpilogue& ep) {
+  for (int64_t i = i0; i < i1; ++i) {
+    float* row = c + i * ldc;
+    const float rb = ep.row_bias != nullptr ? ep.row_bias[i] : 0.0f;
+    if (ep.col_bias != nullptr) {
+      for (int64_t j = 0; j < n; ++j) row[j] += rb + ep.col_bias[j];
+    } else if (ep.row_bias != nullptr) {
+      for (int64_t j = 0; j < n; ++j) row[j] += rb;
+    }
+    if (ep.relu)
+      for (int64_t j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
+  }
+}
+
 void apply_epilogue(int64_t m, int64_t n, float* c, const GemmEpilogue& ep) {
   if (!ep.active()) return;
   parallel_for(
       m,
       [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          float* row = c + i * n;
-          const float rb = ep.row_bias != nullptr ? ep.row_bias[i] : 0.0f;
-          if (ep.col_bias != nullptr) {
-            for (int64_t j = 0; j < n; ++j) row[j] += rb + ep.col_bias[j];
-          } else if (ep.row_bias != nullptr) {
-            for (int64_t j = 0; j < n; ++j) row[j] += rb;
-          }
-          if (ep.relu)
-            for (int64_t j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-        }
+        epilogue_rows(begin, end, n, c, n, ep);
       },
       /*grain=*/std::max<int64_t>(1, 4096 / std::max<int64_t>(1, n)));
 }
@@ -243,12 +249,18 @@ void run_block(const KernelInfo& ki, int64_t kb, const float* apbuf,
       if (iw == kMR && jw == ki.nr) {
         ki.fn(kb, ap, bp, cdst, ldc);
       } else {
-        // Edge tile: compute into a zeroed scratch tile, add the valid part.
+        // Edge tile: stage the valid part of C in a zero-padded scratch
+        // tile so the micro-kernel accumulates onto C exactly as it does
+        // for a full tile. No element's result then depends on where tile
+        // boundaries fall (column splits, K > kKC).
         std::memset(ct, 0, sizeof(float) * kMR * ki.nr);
+        for (int64_t i = 0; i < iw; ++i)
+          for (int64_t j = 0; j < jw; ++j)
+            ct[i * ki.nr + j] = cdst[i * ldc + j];
         ki.fn(kb, ap, bp, ct, ki.nr);
         for (int64_t i = 0; i < iw; ++i)
           for (int64_t j = 0; j < jw; ++j)
-            cdst[i * ldc + j] += ct[i * ki.nr + j];
+            cdst[i * ldc + j] = ct[i * ki.nr + j];
       }
     }
   }
@@ -543,53 +555,30 @@ const PackedGemmB& pack_gemm_b_nt_cached(int64_t n, int64_t k, const float* b,
   return local;
 }
 
+int64_t gemm_nn_prepacked_scratch(int64_t n, int64_t k) {
+  // ceil(nb / nr) · nr < nb + kMaxNR for every kernel width nr.
+  return (std::min(n, kNC) + kMaxNR) * std::min(k, kKC);
+}
+
 void gemm_nn_prepacked(const PackedGemmA& a, int64_t n, const float* b,
-                       float* c, const GemmEpilogue& ep) {
+                       int64_t ldb, float* c, int64_t ldc,
+                       const GemmEpilogue& ep, float* scratch) {
   const int64_t m = a.m;
   const int64_t k = a.k;
-  if (m <= 0 || n <= 0 || k <= 0) {
-    apply_epilogue(m, n, c, ep);
-    return;
-  }
+  if (m <= 0 || n <= 0) return;
   const KernelInfo ki = g_kernel;
-  const int64_t mpanels = ceil_div(m, kMR);
-  thread_local std::vector<float> bpbuf;
-  for (int64_t jc = 0; jc < n; jc += kNC) {
+  for (int64_t jc = 0; jc < n && k > 0; jc += kNC) {
     const int64_t nb = std::min(kNC, n - jc);
-    int64_t kblock_offset = 0;
+    // Packed A holds all row panels per k block (see pack_gemm_a).
+    const float* apblock = a.panels.data();
     for (int64_t k0 = 0; k0 < k; k0 += kKC) {
       const int64_t kb = std::min(kKC, k - k0);
-      bpbuf.resize(static_cast<size_t>(ceil_div(nb, ki.nr) * kb * ki.nr));
-      float* bp = bpbuf.data();
-      pack_b_nn(b, n, k0, kb, jc, nb, ki.nr, bp);
-      const float* apblock = a.panels.data() + kblock_offset;
-      // Same 2-D split as gemm_driver (A is already packed, so row panels
-      // take the place of M blocks): column-chunk small-M shapes instead
-      // of idling the pool.
-      const int64_t npanels = ceil_div(nb, ki.nr);
-      const int64_t nthreads = ThreadPool::global().size() + 1;
-      const int64_t nchunks =
-          std::clamp<int64_t>(nthreads / mpanels, 1, npanels);
-      parallel_for(
-          mpanels * nchunks,
-          [&](int64_t w0, int64_t w1) {
-            for (int64_t w = w0; w < w1; ++w) {
-              const int64_t p = w / nchunks;
-              const int64_t chunk = w % nchunks;
-              const int64_t q0 = chunk * npanels / nchunks;
-              const int64_t q1 = (chunk + 1) * npanels / nchunks;
-              if (q0 == q1) continue;
-              run_block(ki, kb, apblock + p * kb * kMR,
-                        std::min(m - p * kMR, kMR), bp + q0 * kb * ki.nr,
-                        std::min(nb - q0 * ki.nr, (q1 - q0) * ki.nr),
-                        c + p * kMR * n + jc + q0 * ki.nr, n);
-            }
-          },
-          /*grain=*/1);
-      kblock_offset += mpanels * kMR * kb;
+      pack_b_nn(b, ldb, k0, kb, jc, nb, ki.nr, scratch);
+      run_block(ki, kb, apblock, m, scratch, nb, c + jc, ldc);
+      apblock += ceil_div(m, kMR) * kMR * kb;
     }
   }
-  apply_epilogue(m, n, c, ep);
+  if (ep.active()) epilogue_rows(0, m, n, c, ldc, ep);
 }
 
 void set_gemm_backend(GemmBackend backend) {

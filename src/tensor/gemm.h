@@ -76,9 +76,20 @@ struct PackedGemmA {
 /// Packs row-major A[M,K] for repeated gemm_nn_prepacked calls.
 PackedGemmA pack_gemm_a(int64_t m, int64_t k, const float* a);
 
-/// C[M,N] += packed_A · B[K,N], then epilogue.
+/// Floats of B-panel scratch one gemm_nn_prepacked call over n columns at
+/// depth k needs (enough for every dispatchable kernel width).
+int64_t gemm_nn_prepacked_scratch(int64_t n, int64_t k);
+
+/// C[M,N] += packed_A · B[K,N], then epilogue, on the calling thread only.
+/// B and C are row-major with leading dimensions ldb and ldc, so a call can
+/// cover any column slice of a larger product; B panels are packed into
+/// `scratch` (gemm_nn_prepacked_scratch(n, a.k) floats). Callers
+/// parallelize over independent calls. Every element sees the same
+/// micro-kernel, packed A and k-block order as in gemm_nn_ex, so the result
+/// is bit-identical to gemm_nn_ex and to any split of the columns.
 void gemm_nn_prepacked(const PackedGemmA& a, int64_t n, const float* b,
-                       float* c, const GemmEpilogue& ep = {});
+                       int64_t ldb, float* c, int64_t ldc,
+                       const GemmEpilogue& ep, float* scratch);
 
 /// The B operand of gemm_nt (row-major B[N,K], used as Bᵀ) pre-packed into
 /// micro-kernel panels. Unlike A panels (always kMR wide), B panels are nr

@@ -33,14 +33,7 @@ void im2col_2d(const float* image, int64_t c, int64_t h, int64_t w, int64_t kh,
                int64_t kw, int64_t stride, int64_t pad, float* cols) {
   const int64_t oh = conv_out_size(h, kh, stride, pad);
   const int64_t ow = conv_out_size(w, kw, stride, pad);
-  im2col_2d_ld(image, c, h, w, kh, kw, stride, pad, cols, oh * ow);
-}
-
-void im2col_2d_ld(const float* image, int64_t c, int64_t h, int64_t w,
-                  int64_t kh, int64_t kw, int64_t stride, int64_t pad,
-                  float* cols, int64_t ld) {
-  const int64_t oh = conv_out_size(h, kh, stride, pad);
-  const int64_t ow = conv_out_size(w, kw, stride, pad);
+  const int64_t ld = oh * ow;
   int64_t row = 0;
   for (int64_t ch = 0; ch < c; ++ch) {
     const float* plane = image + ch * h * w;
@@ -104,18 +97,12 @@ void col2im_2d(const float* cols, int64_t c, int64_t h, int64_t w, int64_t kh,
 
 void im2col_1d(const float* signal, int64_t c, int64_t l, int64_t k,
                int64_t stride, int64_t pad, float* cols) {
-  im2col_1d_ld(signal, c, l, k, stride, pad, cols,
-               conv_out_size(l, k, stride, pad));
-}
-
-void im2col_1d_ld(const float* signal, int64_t c, int64_t l, int64_t k,
-                  int64_t stride, int64_t pad, float* cols, int64_t ld) {
   const int64_t ol = conv_out_size(l, k, stride, pad);
   int64_t row = 0;
   for (int64_t ch = 0; ch < c; ++ch) {
     const float* line = signal + ch * l;
     for (int64_t dx = 0; dx < k; ++dx, ++row) {
-      float* out_row = cols + row * ld;
+      float* out_row = cols + row * ol;
       const int64_t ox_lo = std::min(ol, first_valid(dx - pad, stride));
       const int64_t ox_hi =
           std::max(ox_lo, std::min(ol, last_valid(l, dx - pad, stride)));

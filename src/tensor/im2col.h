@@ -19,13 +19,6 @@ int64_t conv_out_size(int64_t in, int64_t kernel, int64_t stride, int64_t pad);
 void im2col_2d(const float* image, int64_t c, int64_t h, int64_t w, int64_t kh,
                int64_t kw, int64_t stride, int64_t pad, float* cols);
 
-/// Strided 2-d variant: writes each patch row at stride `ld` (>= oh*ow), so
-/// several samples' patch matrices can sit side by side as column blocks of
-/// one [C*kh*kw, N*oh*ow] matrix feeding a single batched GEMM.
-void im2col_2d_ld(const float* image, int64_t c, int64_t h, int64_t w,
-                  int64_t kh, int64_t kw, int64_t stride, int64_t pad,
-                  float* cols, int64_t ld);
-
 /// 2-d inverse: cols [C*kh*kw, oh*ow] accumulated into image grad [C,H,W]
 /// (caller zeroes the image first).
 void col2im_2d(const float* cols, int64_t c, int64_t h, int64_t w, int64_t kh,
@@ -34,10 +27,6 @@ void col2im_2d(const float* cols, int64_t c, int64_t h, int64_t w, int64_t kh,
 /// 1-d: signal [C,L] -> cols [C*k, ol].
 void im2col_1d(const float* signal, int64_t c, int64_t l, int64_t k,
                int64_t stride, int64_t pad, float* cols);
-
-/// Strided 1-d variant (see im2col_2d_ld).
-void im2col_1d_ld(const float* signal, int64_t c, int64_t l, int64_t k,
-                  int64_t stride, int64_t pad, float* cols, int64_t ld);
 
 /// 1-d inverse (accumulating).
 void col2im_1d(const float* cols, int64_t c, int64_t l, int64_t k,

@@ -11,8 +11,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
+#include <string>
 
+#include "deploy/deploy.h"
 #include "models/lstm_forecaster.h"
 #include "models/resnet.h"
 #include "serve/session.h"
@@ -87,10 +90,8 @@ SessionOptions options_for(TaskKind task, bool compile) {
 
 /// Allocations per predict_into once warm: warm up (compile the plan,
 /// size the result tensors), then count over `iters` steady-state calls.
-template <typename ModelT>
-long steady_state_allocs(ModelT& model, TaskKind task, const Tensor& x,
-                         bool compile, int iters = 16) {
-  InferenceSession session(model, options_for(task, compile));
+long steady_state_allocs(const InferenceSession& session, const Tensor& x,
+                         int iters = 16) {
   Prediction out;
   session.predict_into(x, out);  // compiles (or serves graph) + sizes out
   session.predict_into(x, out);  // reaches steady state
@@ -99,6 +100,13 @@ long steady_state_allocs(ModelT& model, TaskKind task, const Tensor& x,
   for (int i = 0; i < iters; ++i) session.predict_into(x, out);
   g_counting.store(false);
   return g_allocs.load();
+}
+
+template <typename ModelT>
+long steady_state_allocs(ModelT& model, TaskKind task, const Tensor& x,
+                         bool compile, int iters = 16) {
+  InferenceSession session(model, options_for(task, compile));
+  return steady_state_allocs(session, x, iters);
 }
 
 TEST(Alloc, CompiledLstmPredictIsAllocationFree) {
@@ -120,6 +128,37 @@ TEST(Alloc, CompiledResNetPredictIsAllocationFree) {
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   EXPECT_EQ(steady_state_allocs(model, TaskKind::kClassification, x, true),
             0);
+}
+
+TEST(Alloc, CompiledResNetArtifactPredictIsAllocationFree) {
+  // The fault_sweep model shape (width 12, 16×16 images) opened from an
+  // artifact on fp32 and on the tiled crossbar: the conv workspace slots
+  // are sized when the plan builds its context, so steady-state convs
+  // allocate nothing on either substrate.
+  models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 12},
+                             {.variant = models::Variant::kProposed});
+  model.set_training(false);
+  model.deploy();
+  const std::string path = ::testing::TempDir() + "alloc_resnet.rpla";
+  deploy::save_artifact(model, path,
+                        options_for(TaskKind::kClassification, true));
+  Rng rng(6);
+  Tensor x = Tensor::randn({8, 3, 16, 16}, rng);
+  for (const deploy::Backend backend :
+       {deploy::Backend::kFp32, deploy::Backend::kCrossbar}) {
+    deploy::DeployOptions d;
+    d.backend = backend;
+    // The fault_sweep substrate: 64×64 tiles of 8-bit-sliced cells behind
+    // shared ADCs (the degenerate monolithic plan still allocates).
+    d.crossbar.geometry = imc::TileGeometry{64, 64};
+    d.crossbar.slice_bits = 8;
+    d.crossbar.adc_share = 8;
+    auto session = InferenceSession::open(path, d);
+    ASSERT_TRUE(session->precompile(x.shape()).compiled);
+    EXPECT_EQ(steady_state_allocs(*session, x), 0)
+        << deploy::backend_name(backend);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Alloc, TracingOffKeepsCompiledPathAllocationFree) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "tensor/random.h"
 
@@ -149,6 +150,13 @@ TEST(GemmEpilogue, ColBiasReluMatchesManual) {
     }
 }
 
+/// C = packed_A · B through the single-threaded prepacked GEMM.
+void prepacked_nn(const PackedGemmA& a, int64_t n, const float* b, float* c) {
+  std::vector<float> scratch(
+      static_cast<size_t>(gemm_nn_prepacked_scratch(n, a.k)));
+  gemm_nn_prepacked(a, n, b, n, c, n, {}, scratch.data());
+}
+
 TEST(GemmPrepacked, MatchesUnpacked) {
   Rng rng(37);
   for (const auto [m, k] : {std::pair<int64_t, int64_t>{12, 108},
@@ -158,11 +166,12 @@ TEST(GemmPrepacked, MatchesUnpacked) {
     Tensor b = Tensor::randn({k, n}, rng);
     const PackedGemmA packed = pack_gemm_a(m, k, a.data());
     Tensor c({m, n});
-    gemm_nn_prepacked(packed, n, b.data(), c.data());
+    prepacked_nn(packed, n, b.data(), c.data());
     Tensor ref({m, n});
     gemm_nn(m, n, k, a.data(), b.data(), ref.data());
+    // Same micro-kernel, packed A and k-block order: bit-identical.
     for (int64_t i = 0; i < c.numel(); ++i)
-      EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-4f)
+      EXPECT_EQ(c.data()[i], ref.data()[i])
           << "m=" << m << " k=" << k << " at " << i;
   }
 }
@@ -177,8 +186,8 @@ TEST(GemmPrepacked, ReusableAcrossCalls) {
   Tensor b2 = Tensor::randn({k, n}, rng);
   const PackedGemmA packed = pack_gemm_a(m, k, a.data());
   Tensor c1({m, n}), c2({m, n}), r1({m, n}), r2({m, n});
-  gemm_nn_prepacked(packed, n, b1.data(), c1.data());
-  gemm_nn_prepacked(packed, n, b2.data(), c2.data());
+  prepacked_nn(packed, n, b1.data(), c1.data());
+  prepacked_nn(packed, n, b2.data(), c2.data());
   gemm_nn(m, n, k, a.data(), b1.data(), r1.data());
   gemm_nn(m, n, k, a.data(), b2.data(), r2.data());
   for (int64_t i = 0; i < c1.numel(); ++i) {

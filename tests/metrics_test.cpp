@@ -118,7 +118,9 @@ TEST(LatencyHistogram, ConcurrentRecordsNeverLoseSamples) {
   LatencyHistogram h;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
-  std::vector<std::thread> writers;
+  // jthreads join on scope exit: a failed ASSERT below returns and reports
+  // instead of destroying joinable threads (std::terminate).
+  std::vector<std::jthread> writers;
   for (int t = 0; t < kThreads; ++t)
     writers.emplace_back([&h] {
       for (int i = 0; i < kPerThread; ++i) h.record(8);
@@ -133,7 +135,7 @@ TEST(LatencyHistogram, ConcurrentRecordsNeverLoseSamples) {
     last = snap.count;
     std::this_thread::yield();
   }
-  for (auto& w : writers) w.join();
+  writers.clear();  // joins
   const LatencyHistogram::Snapshot final_snap = h.snapshot();
   EXPECT_EQ(final_snap.count,
             static_cast<uint64_t>(kThreads) * kPerThread);
@@ -142,32 +144,36 @@ TEST(LatencyHistogram, ConcurrentRecordsNeverLoseSamples) {
 }
 
 TEST(LatencyHistogram, MergeFromConcurrentWithRecordStaysConsistent) {
-  // merge_from a histogram that is being recorded into: the merged view
-  // is a valid snapshot — internally consistent, never more samples than
-  // the source ever held, mean skewed by at most the in-flight samples.
+  // merge_from a histogram that is being recorded into. The merged view is
+  // internally consistent, and its sum/count skew is one-sided: merge_from
+  // reads total_us before the buckets, so the buckets may hold samples
+  // recorded during the merge whose 4 µs are not in the total, never the
+  // reverse.
   LatencyHistogram src;
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    while (!stop.load(std::memory_order_relaxed)) src.record(4);
+  // A jthread requests stop and joins on scope exit, so a failed ASSERT
+  // reports instead of destroying a joinable thread (std::terminate).
+  std::jthread writer([&src](std::stop_token stop) {
+    while (!stop.stop_requested()) src.record(4);
   });
   for (int round = 0; round < 50; ++round) {
     LatencyHistogram dst;
     dst.record(4);  // merge accumulates on top of existing counts
+    // Samples src had completed (total_us included) before the merge.
+    const uint64_t done_before = src.snapshot().total_us / 4;
     dst.merge_from(src);
+    const uint64_t count_after = src.count();
     const LatencyHistogram::Snapshot snap = dst.snapshot();
     uint64_t sum = 0;
     for (const uint64_t b : snap.buckets) sum += b;
     ASSERT_EQ(snap.count, sum);
     ASSERT_GE(snap.count, 1u);
-    // Every sample is 4µs; a snapshot racing one record() may skew the
-    // sum by that single in-flight sample.
     const uint64_t want = snap.count * 4;
-    const uint64_t diff =
-        snap.total_us > want ? snap.total_us - want : want - snap.total_us;
-    ASSERT_LE(diff, 4u);
+    ASSERT_LE(snap.total_us, want)
+        << "merged total covers a sample missing from the buckets";
+    // The shortfall is bounded by what src gained while the merge ran.
+    ASSERT_GE(count_after, done_before);
+    ASSERT_LE(want - snap.total_us, 4 * (count_after - done_before));
   }
-  stop.store(true);
-  writer.join();
 }
 
 TEST(UncertaintyMonitor, FirstObservationSeedsBothWindows) {

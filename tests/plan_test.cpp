@@ -276,6 +276,28 @@ TEST(Plan, InvalidateDropsPlansAndRecompiles) {
   expect_bit_equal(before.mean, restored.mean, "restored weights");
 }
 
+TEST(Plan, CompilingPredictServesTheVerifiedOutput) {
+  // Compiling a shape executes the plan twice, on the traced and on a
+  // perturbed input, to verify it against the graph; the compiling call
+  // then serves the verified traced-input output instead of a third run.
+  models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 4},
+                             proposed());
+  model.set_training(false);
+  model.deploy();
+  InferenceSession session(model, options_for(TaskKind::kClassification, 4));
+  Rng rng(12);
+  Tensor x = Tensor::randn({3, 3, 16, 16}, rng);
+  deploy::set_plan_profiling(true);
+  const Prediction first = session.predict(x);
+  const PlanInfo info = session.plan_info(x.shape());
+  deploy::set_plan_profiling(false);
+  ASSERT_TRUE(info.compiled) << info.fallback_reason;
+  ASSERT_FALSE(info.op_profile.empty());
+  for (const deploy::PlanOpProfile& op : info.op_profile)
+    EXPECT_EQ(op.calls, 2u) << "step " << op.step << " (" << op.name << ")";
+  expect_prediction_bit_equal(first, session.predict(x), "compiling call");
+}
+
 TEST(Plan, ChunkedRequestsCompilePerOffset) {
   models::LstmForecaster model({.hidden = 8, .window = 12}, proposed());
   model.set_training(false);

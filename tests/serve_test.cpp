@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/inverted_norm.h"
+#include "fault/injector.h"
 #include "models/evaluate.h"
 #include "models/lstm_forecaster.h"
 #include "models/m5.h"
@@ -482,6 +483,46 @@ TEST(Serve, NoisyBatchedPolicyMatchesSerialPolicy) {
   model.noise()->additive_std = 0.0f;
 }
 
+TEST(Serve, ActivationFaultBatchedPolicyBitEqualsSerialPolicy) {
+  // An on-activation noise FaultSpec (the fault_sweep σ = 0.5 instance):
+  // the batched fold fills the T per-replica noise blocks in parallel, each
+  // from its own sub-stream, so it reproduces the serial policy's replica
+  // passes bit for bit. The shapes make every block big enough to be
+  // filled in parallel.
+  models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 8},
+                             variant());
+  model.set_training(false);
+  model.deploy();
+  fault::FaultInjector injector(model.fault_targets(), model.noise());
+  Rng fault_rng(41);
+  injector.apply(fault::FaultSpec::additive(0.5f, /*on_activations=*/true),
+                 fault_rng);
+  Rng rng(24);
+  Tensor x = Tensor::randn({8, 3, 16, 16}, rng);
+  Tensor batched;
+  {
+    InferenceSession session(
+        model, options_for(TaskKind::kClassification, 5, 617,
+                           ExecutionPolicy::kBatched));
+    batched = session.mc_outputs(x);
+    // The compiled plan serves the same bits as the first (compiling) call.
+    expect_tensors_near(session.mc_outputs(x), batched, 0.0f,
+                        "noisy batched, second call");
+  }
+  Tensor serial;
+  {
+    InferenceSession session(
+        model, options_for(TaskKind::kClassification, 5, 617,
+                           ExecutionPolicy::kSerial));
+    serial = session.mc_outputs(x);
+  }
+  injector.restore();
+  ASSERT_EQ(batched.shape(), serial.shape());
+  EXPECT_EQ(0, std::memcmp(batched.data(), serial.data(),
+                           sizeof(float) *
+                               static_cast<size_t>(batched.numel())));
+}
+
 // ---- lifecycle ------------------------------------------------------------
 
 TEST(Serve, SessionRestoresModelStateOnDestruction) {
@@ -519,8 +560,10 @@ TEST(Serve, PackCacheServesFrozenPanelsUntilCleared) {
     Tensor c = Tensor::zeros({m, n});
     PackCacheScope scope(&cache);
     PackedGemmA local;
+    std::vector<float> scratch(
+        static_cast<size_t>(gemm_nn_prepacked_scratch(n, k)));
     gemm_nn_prepacked(pack_gemm_a_cached(m, k, a.data(), local), n, b.data(),
-                      c.data());
+                      n, c.data(), n, {}, scratch.data());
     return c;
   };
   const Tensor fresh = run();  // records
