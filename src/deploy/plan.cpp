@@ -8,6 +8,7 @@
 // compiled path, never correctness.
 #include "deploy/plan.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -122,43 +123,50 @@ void bn_affine_into(const Tensor& x, const Tensor& mean, const Tensor& scale,
 //   c' = (f·c) + (i·g);  h' = o·tanh(c')
 // Replaces 13 graph steps (add, 4 slices, 4 activations, 3 muls, add) with
 // identical per-element arithmetic.
+//
+// One sweep de-interleaves v into four contiguous gate planes of n·h
+// floats, so each activation is one σ/tanh call over all rows and the
+// cell update is a flat loop: at small hidden sizes a per-row call would
+// leave every element in a short vector tail. The planes and tanh(c')
+// live in `ws` (5·n·h floats, owned by the PlanContext). The σ/tanh
+// kernels (tensor/vmath.h) give every element the same IEEE operation
+// sequence however the span is cut, so the step still matches the
+// graph's whole-tensor sigmoid/tanh ops bit for bit.
 void lstm_gates_into(const Tensor& g1, const Tensor& g2, const Tensor& c_prev,
-                     int64_t hidden, Tensor& h_out, Tensor& c_out) {
+                     int64_t hidden, float* ws, Tensor& h_out,
+                     Tensor& c_out) {
   const int64_t rows = h_out.dim(0);
-  const int64_t h4 = 4 * hidden;
+  const int64_t cells = rows * hidden;
   const float* p1 = g1.data();
   const float* p2 = g2.data();
   const float* pc = c_prev.data();
   float* ph = h_out.data();
   float* pn = c_out.data();
-  // Gate activations go through the vectorized σ/tanh kernels
-  // (tensor/vmath.h) — the same per-element sequences the graph's
-  // sigmoid/tanh ops perform, so the fused step still matches the graph
-  // oracle bit-for-bit. Scratch: activated gates [4h] + tanh(c') [h];
-  // thread_local keeps the steady state allocation-free once warm.
-  thread_local std::vector<float> gate_buf;
-  gate_buf.resize(static_cast<size_t>(h4 + hidden));
-  float* gv = gate_buf.data();
-  float* tc = gv + h4;
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* a = p1 + i * h4;
-    const float* b = p2 + i * h4;
-    const float* cp = pc + i * hidden;
-    float* hr = ph + i * hidden;
-    float* cr = pn + i * hidden;
-    for (int64_t j = 0; j < h4; ++j) gv[j] = a[j] + b[j];
-    vsigmoid(gv, gv, hidden);                            // i
-    vsigmoid(gv + hidden, gv + hidden, hidden);          // f
-    vtanh(gv + 2 * hidden, gv + 2 * hidden, hidden);     // g
-    vsigmoid(gv + 3 * hidden, gv + 3 * hidden, hidden);  // o
-    for (int64_t j = 0; j < hidden; ++j) {
-      const float fc = gv[hidden + j] * cp[j];
-      const float ig = gv[j] * gv[2 * hidden + j];
-      cr[j] = fc + ig;
+  float* gi = ws;
+  float* gf = gi + cells;
+  float* gg = gf + cells;
+  float* go = gg + cells;
+  float* tc = go + cells;
+  float* const planes[4] = {gi, gf, gg, go};
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int k = 0; k < 4; ++k) {
+      const float* a = p1 + (4 * r + k) * hidden;
+      const float* b = p2 + (4 * r + k) * hidden;
+      float* v = planes[k] + r * hidden;
+      for (int64_t j = 0; j < hidden; ++j) v[j] = a[j] + b[j];
     }
-    vtanh(cr, tc, hidden);
-    for (int64_t j = 0; j < hidden; ++j) hr[j] = gv[3 * hidden + j] * tc[j];
   }
+  vsigmoid(gi, gi, cells);
+  vsigmoid(gf, gf, cells);
+  vtanh(gg, gg, cells);
+  vsigmoid(go, go, cells);
+  for (int64_t j = 0; j < cells; ++j) {
+    const float fc = gf[j] * pc[j];
+    const float ig = gi[j] * gg[j];
+    pn[j] = fc + ig;
+  }
+  vtanh(pn, tc, cells);
+  for (int64_t j = 0; j < cells; ++j) ph[j] = go[j] * tc[j];
 }
 
 // True when the tensor is T identical contiguous blocks (bitwise).
@@ -239,6 +247,7 @@ struct PlanBuilder {
   std::vector<int64_t> slot_numel;  // per arena slot
   int out_buf = -1;
   std::vector<std::array<int64_t, 3>> conv_shapes;  // (n, ck, oa) per conv
+  int64_t lstm_cells = 0;  // max rows·hidden over the kLstmGates steps
 
   bool fail(std::string m) {
     if (err.empty()) err = std::move(m);
@@ -764,8 +773,12 @@ bool PlanBuilder::emit() {
     release(psteps[s].out2, s);
   }
 
-  // Conv workspace geometry over the final shapes.
+  // Conv workspace and LSTM gate-plane geometry over the final shapes.
   for (const PlanStep& p : psteps) {
+    if (p.tag == OpTag::kLstmGates) {
+      lstm_cells = std::max(lstm_cells, shape_numel(fshape[p.out]));
+      continue;
+    }
     if (p.tag != OpTag::kConv2d && p.tag != OpTag::kConv1d) continue;
     if (p.args.empty() || p.args[0] < 0) {
       return fail("internal: conv step without buffer input");
@@ -832,10 +845,10 @@ const char* op_tag_group(OpTag tag) {
     case OpTag::kLinear:
     case OpTag::kConv2d:
     case OpTag::kConv1d:
-    case OpTag::kLstmGates:
       return "gemm";
     case OpTag::kAffine:
     case OpTag::kBnAffine:
+    case OpTag::kLstmGates:
       return "epilogue";
     default:
       return "other";
@@ -872,6 +885,7 @@ std::unique_ptr<PlanContext> ExecutionPlan::make_context() const {
   }
   for (const auto& [n, ck, oa] : conv_shapes_)
     ctx->conv_ws_.ensure(n, ck, oa);
+  ctx->lstm_ws_.resize(static_cast<size_t>(5 * lstm_cells_));
   return ctx;
 }
 
@@ -941,8 +955,8 @@ const Tensor& ExecutionPlan::execute(const Tensor& x, PlanContext& ctx) const {
         bn_affine_into(*ins[0], st.w, st.b, st.g2, st.b2, out);
         break;
       case OpTag::kLstmGates:
-        lstm_gates_into(*ins[0], *ins[1], *ins[2], st.i0, out,
-                        ctx.values_[st.out2]);
+        lstm_gates_into(*ins[0], *ins[1], *ins[2], st.i0, ctx.lstm_ws_.data(),
+                        out, ctx.values_[st.out2]);
         break;
       case OpTag::kReplicate:
         replicate_into(*ins[0], out);
@@ -1021,6 +1035,7 @@ std::unique_ptr<ExecutionPlan> compile_trace(std::vector<TraceStep> steps,
   plan->output_buffer_ = b.out_buf;
   plan->replicas_ = b.t;
   plan->conv_shapes_ = std::move(b.conv_shapes);
+  plan->lstm_cells_ = b.lstm_cells;
   plan->input_shape_ = plan->buffers_[0].shape;
   plan->output_shape_ = plan->buffers_[b.out_buf].shape;
   b.stats.steps = static_cast<int>(plan->steps_.size());

@@ -59,8 +59,10 @@ struct PlanStats {
 const char* op_tag_name(OpTag tag);
 
 /// Coarse cost bucket of an OpTag for the metrics endpoint's GEMM-vs-
-/// epilogue split: "gemm" (linear/conv/lstm_gates, fused epilogues
-/// included), "epilogue" (standalone affine/bn_affine), or "other".
+/// epilogue split: "gemm" (linear/conv, fused epilogues included),
+/// "epilogue" (standalone elementwise steps: affine/bn_affine and the
+/// fused LSTM gate block, whose gate GEMMs are separate linear steps), or
+/// "other".
 const char* op_tag_group(OpTag tag);
 
 /// Process-wide switch for per-step plan profiling. Off (the default), a
@@ -74,8 +76,9 @@ bool plan_profiling_enabled();
 /// Accumulated cost of one plan step (or one op tag when aggregated across
 /// a session's cached plans, in which case `step` is -1). GEMM-backed tags
 /// (linear/conv*) include their fused epilogue; standalone affine/bn_affine
-/// steps are the unfused epilogue cost — together they split compiled
-/// execution into GEMM vs epilogue time for the metrics endpoint.
+/// and lstm_gates steps are the elementwise epilogue cost — together they
+/// split compiled execution into GEMM vs epilogue time for the metrics
+/// endpoint.
 struct PlanOpProfile {
   int step = -1;
   OpTag tag = OpTag::kNone;
@@ -104,8 +107,8 @@ struct PlanStep {
 class ExecutionPlan;
 
 /// Per-execution buffer set: arena slot storage, the per-buffer tensor
-/// views into it, and the conv im2col workspace. One context serves one
-/// in-flight request; sessions pool them.
+/// views into it, the conv im2col workspace and the LSTM gate planes. One
+/// context serves one in-flight request; sessions pool them.
 class PlanContext {
  public:
   const Tensor& output() const;
@@ -115,6 +118,7 @@ class PlanContext {
   std::vector<Tensor> slots_;
   std::vector<Tensor> values_;  // per logical buffer, aliasing a slot
   autograd::ConvWorkspace conv_ws_;
+  std::vector<float> lstm_ws_;  // kLstmGates: i|f|g|o planes + tanh(c')
   const ExecutionPlan* plan_ = nullptr;
 };
 
@@ -167,6 +171,7 @@ class ExecutionPlan {
   int output_buffer_ = -1;
   int64_t replicas_ = 1;
   std::vector<std::array<int64_t, 3>> conv_shapes_;  // (n, ck, oa) per conv
+  int64_t lstm_cells_ = 0;  // max rows·hidden over the kLstmGates steps
   Shape input_shape_;
   Shape output_shape_;
   PlanStats stats_;

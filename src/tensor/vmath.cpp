@@ -115,12 +115,26 @@ __attribute__((target("avx2,fma"))) inline __m256 tanh8(__m256 x) {
   return _mm256_blendv_ps(big_signed, small, is_small);
 }
 
+// Lane mask selecting the first `rem` (1..7) of 8 lanes for
+// maskload/maskstore: lane k is on when its index is below rem.
+__attribute__((target("avx2,fma"))) inline __m256i tail_mask8(int64_t rem) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rem)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// The remainder runs as one masked iteration: masked-off lanes load 0.0f
+// (never touching memory past x[n-1]), compute a discarded value, and are
+// not stored. Lanes are independent, so the valid ones round exactly as
+// in a full vector.
 __attribute__((target("avx2,fma"))) void vtanh_avx2(const float* x, float* y,
                                                     int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8)
     _mm256_storeu_ps(y + i, tanh8(_mm256_loadu_ps(x + i)));
-  for (; i < n; ++i) y[i] = vtanh1(x[i]);
+  if (i < n) {
+    const __m256i m = tail_mask8(n - i);
+    _mm256_maskstore_ps(y + i, m, tanh8(_mm256_maskload_ps(x + i, m)));
+  }
 }
 
 __attribute__((target("avx2,fma"))) void vsigmoid_avx2(const float* x,
@@ -128,7 +142,10 @@ __attribute__((target("avx2,fma"))) void vsigmoid_avx2(const float* x,
   int64_t i = 0;
   for (; i + 8 <= n; i += 8)
     _mm256_storeu_ps(y + i, sigmoid8(_mm256_loadu_ps(x + i)));
-  for (; i < n; ++i) y[i] = vsigmoid1(x[i]);
+  if (i < n) {
+    const __m256i m = tail_mask8(n - i);
+    _mm256_maskstore_ps(y + i, m, sigmoid8(_mm256_maskload_ps(x + i, m)));
+  }
 }
 
 // 16-lane AVX-512 mirrors of the kernels above: every operation is the
@@ -186,12 +203,16 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512 tanh16(__m512 x) {
   return _mm512_mask_blend_ps(is_small, big_signed, small);
 }
 
+// Masked remainder as in the AVX2 kernels: first `n - i` lanes on.
 __attribute__((target("avx512f,avx512dq"))) void vtanh_avx512(const float* x, float* y,
                                                      int64_t n) {
   int64_t i = 0;
   for (; i + 16 <= n; i += 16)
     _mm512_storeu_ps(y + i, tanh16(_mm512_loadu_ps(x + i)));
-  for (; i < n; ++i) y[i] = vtanh1(x[i]);
+  if (i < n) {
+    const __mmask16 m = static_cast<__mmask16>((1u << (n - i)) - 1);
+    _mm512_mask_storeu_ps(y + i, m, tanh16(_mm512_maskz_loadu_ps(m, x + i)));
+  }
 }
 
 __attribute__((target("avx512f,avx512dq"))) void vsigmoid_avx512(const float* x,
@@ -199,7 +220,11 @@ __attribute__((target("avx512f,avx512dq"))) void vsigmoid_avx512(const float* x,
   int64_t i = 0;
   for (; i + 16 <= n; i += 16)
     _mm512_storeu_ps(y + i, sigmoid16(_mm512_loadu_ps(x + i)));
-  for (; i < n; ++i) y[i] = vsigmoid1(x[i]);
+  if (i < n) {
+    const __mmask16 m = static_cast<__mmask16>((1u << (n - i)) - 1);
+    _mm512_mask_storeu_ps(y + i, m,
+                          sigmoid16(_mm512_maskz_loadu_ps(m, x + i)));
+  }
 }
 
 bool simd_enabled() {

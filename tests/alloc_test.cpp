@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <new>
 #include <string>
+#include <thread>
 
 #include "deploy/deploy.h"
 #include "models/lstm_forecaster.h"
@@ -117,6 +118,63 @@ TEST(Alloc, CompiledLstmPredictIsAllocationFree) {
   Rng rng(1);
   Tensor x = Tensor::randn({2, 12, 1}, rng);
   EXPECT_EQ(steady_state_allocs(model, TaskKind::kRegression, x, true), 0);
+}
+
+TEST(Alloc, CompiledLstmTwoThreadsAlternatingRowsIsAllocationFree) {
+  // The edge_forecast shape (hidden 8, window 24) served from two threads
+  // that alternate rows 1 and 8 in lockstep, always on different shapes:
+  // each plan's one pooled context, gate planes included, moves between
+  // the threads, so the step scratch must be owned by the context and
+  // sized when it is built. Threads spawn and warm up before counting.
+  models::LstmForecaster model({.hidden = 8, .window = 24},
+                               {.variant = models::Variant::kProposed});
+  model.set_training(false);
+  model.deploy();
+  SessionOptions opts = options_for(TaskKind::kRegression, true);
+  opts.mc_samples = 8;
+  InferenceSession session(model, opts);
+  Rng rng(7);
+  const Tensor xs[2] = {Tensor::randn({1, 24, 1}, rng),
+                        Tensor::randn({8, 24, 1}, rng)};
+  ASSERT_TRUE(session.precompile(xs[0].shape()).compiled);
+  ASSERT_TRUE(session.precompile(xs[1].shape()).compiled);
+
+  constexpr int kWarm = 4;
+  constexpr int kIters = 64;
+  std::atomic<int> arrived{0};
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  // Spin barrier (no allocation): step k waits for both threads' arrival.
+  const auto sync = [&](int k) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 2 * (k + 1)) std::this_thread::yield();
+  };
+  const auto serve = [&](int tid) {
+    Prediction outs[2];  // one result per shape, so neither is resized
+    int k = 0;
+    for (; k < kWarm; ++k) {
+      sync(k);
+      session.predict_into(xs[(k + tid) % 2], outs[(k + tid) % 2]);
+    }
+    ready.fetch_add(1);
+    while (!go.load()) std::this_thread::yield();
+    for (; k < kWarm + kIters; ++k) {
+      sync(k);
+      session.predict_into(xs[(k + tid) % 2], outs[(k + tid) % 2]);
+    }
+  };
+  {
+    std::jthread a(serve, 0);
+    std::jthread b(serve, 1);
+    while (ready.load() < 2) std::this_thread::yield();
+    g_allocs.store(0);
+    g_counting.store(true);
+    go.store(true);
+    a.join();
+    b.join();
+    g_counting.store(false);
+  }
+  EXPECT_EQ(g_allocs.load(), 0);
 }
 
 TEST(Alloc, CompiledResNetPredictIsAllocationFree) {

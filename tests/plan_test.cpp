@@ -393,6 +393,48 @@ TEST(PlanBackend, DeployCompileWrapperWarmsTheCache) {
   EXPECT_TRUE(session->plan_info({1, 3, 16, 16}).compiled);
 }
 
+TEST(PlanBackend, LstmGatePlanesMatchGraphAcrossShapes) {
+  // The fused gate step lays each gate out as one plane over all rows and
+  // runs σ/tanh over it in one call, so rows·hidden decides where the
+  // vector kernels' masked tails fall: odd and lane-multiple hidden sizes,
+  // every row count 1..9 (the 1/T-row uniform first cell included), on
+  // fp32 and the int8 substrate. Hidden 1 uses SpinDrop: the proposed
+  // variant's group norm needs more than one feature.
+  for (const int64_t hidden : {1, 3, 8, 12, 32}) {
+    models::LstmForecaster model(
+        {.hidden = hidden, .window = 6},
+        {.variant = hidden == 1 ? models::Variant::kSpinDrop
+                                : models::Variant::kProposed});
+    model.set_training(false);
+    model.deploy();
+    const std::string path = temp_path("plan_lstm_planes.rpla");
+    deploy::save_artifact(model, path, options_for(TaskKind::kRegression, 4));
+    for (const Backend backend : {Backend::kFp32, Backend::kQuantInt8}) {
+      DeployOptions graph{.backend = backend};
+      graph.session = options_for(TaskKind::kRegression, 4);
+      graph.session->compile = false;
+      DeployOptions compiled = graph;
+      compiled.session->compile = true;
+      auto oracle = InferenceSession::open(path, graph);
+      for (int64_t rows = 1; rows <= 9; ++rows) {
+        // One session per shape: nine shapes would overflow its plan cache.
+        auto session = InferenceSession::open(path, compiled);
+        const std::string tag = std::string(deploy::backend_name(backend)) +
+                                " hidden=" + std::to_string(hidden) +
+                                " rows=" + std::to_string(rows);
+        Rng rng(static_cast<uint64_t>(100 * hidden + rows));
+        Tensor x = Tensor::randn({rows, 6, 1}, rng);
+        const Tensor want = oracle->mc_outputs(x);
+        expect_bit_equal(want, session->mc_outputs(x), tag.c_str());
+        const PlanInfo info = session->plan_info(x.shape());
+        ASSERT_TRUE(info.compiled) << tag << ": " << info.fallback_reason;
+        expect_bit_equal(want, session->mc_outputs(x), tag.c_str());
+      }
+    }
+    std::filesystem::remove(path);
+  }
+}
+
 // ---- concurrency -----------------------------------------------------------
 
 TEST(Plan, EightThreadHammerStaysDeterministic) {

@@ -338,29 +338,46 @@ TEST(ModelServer, ServeReResolvesVersionlessRequestsAcrossSwap) {
   // re-resolve onto whichever version is active when they route — never
   // kUnknownModel because a resolved version vanished mid-call — and the
   // response metadata names the version that actually served the bits.
+  //
+  // Each producer issues at least kPerProducer requests and keeps going
+  // until it has issued one after the swap returned, so v2 takes traffic
+  // however fast the producers run. jthreads: if anything throws before
+  // they finish, they are stopped and joined instead of aborting the run.
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 40;
-  std::atomic<int> in_flight_before_swap{0};
+  std::atomic<int> served_so_far{0};
+  std::atomic<bool> swapped{false};
   std::vector<std::vector<Response>> responses(kProducers);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        Request r = request_for("t", "fleet", x);
-        r.deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(30);
-        responses[p].push_back(server.serve(std::move(r)));
-        in_flight_before_swap.fetch_add(1);
-      }
-    });
+  {
+    std::vector<std::jthread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p](std::stop_token stop) {
+        bool issued_after_swap = false;
+        for (int i = 0;
+             (i < kPerProducer || !issued_after_swap) &&
+             !stop.stop_requested();
+             ++i) {
+          const bool after = swapped.load();
+          Request r = request_for("t", "fleet", x);
+          r.deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          responses[p].push_back(server.serve(std::move(r)));
+          issued_after_swap = issued_after_swap || after;
+          served_so_far.fetch_add(1);
+        }
+      });
+    }
+    while (served_so_far.load() < kProducers * kPerProducer / 4)
+      std::this_thread::yield();
+    server.hot_swap("fleet", "2", p2);
+    swapped.store(true);
+    for (auto& t : producers) t.join();
   }
-  while (in_flight_before_swap.load() < kProducers * kPerProducer / 4)
-    std::this_thread::yield();
-  server.hot_swap("fleet", "2", p2);
-  for (auto& t : producers) t.join();
 
-  uint64_t served_v1 = 0, served_v2 = 0;
+  uint64_t served_v1 = 0, served_v2 = 0, issued = 0;
   for (const auto& per_producer : responses) {
+    EXPECT_GE(per_producer.size(), static_cast<size_t>(kPerProducer));
+    issued += per_producer.size();
     for (const Response& r : per_producer) {
       ASSERT_EQ(r.status, Status::kOk) << r.error;
       if (regressions_equal(r.prediction, oracle1)) {
@@ -374,8 +391,7 @@ TEST(ModelServer, ServeReResolvesVersionlessRequestsAcrossSwap) {
       }
     }
   }
-  EXPECT_EQ(served_v1 + served_v2,
-            static_cast<uint64_t>(kProducers * kPerProducer));
+  EXPECT_EQ(served_v1 + served_v2, issued);
   EXPECT_GT(served_v2, 0u);  // the swap demonstrably took traffic
 }
 

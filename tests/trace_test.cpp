@@ -351,12 +351,17 @@ TEST_F(TracingTest, PlanProfilingAttributesPerOpTime) {
   ASSERT_TRUE(info.compiled);
   ASSERT_FALSE(info.op_profile.empty());
   uint64_t gemm_ns = 0;
+  uint64_t gates_ns = 0;
   for (const deploy::PlanOpProfile& op : info.op_profile) {
     EXPECT_GE(op.step, 0);  // per-step rows from plan_info
     if (std::string(deploy::op_tag_group(op.tag)) == "gemm")
       gemm_ns += op.total_ns;
+    if (op.tag == deploy::OpTag::kLstmGates) gates_ns += op.total_ns;
   }
   EXPECT_GT(gemm_ns, 0u) << "GEMM-backed steps accumulated no time";
+  // The fused gate step is elementwise (its gate GEMMs are linear steps).
+  EXPECT_GT(gates_ns, 0u);
+  EXPECT_STREQ(deploy::op_tag_group(deploy::OpTag::kLstmGates), "epilogue");
 
   // The session-level aggregate folds steps by tag (step == -1) and is
   // what UnitMetricsRow::plan_ops exports.

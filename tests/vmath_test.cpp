@@ -3,14 +3,19 @@
 // The load-bearing property is bit-exactness of the vector form against
 // the scalar single-element form in any chunking: the compiled-plan
 // verification gate memcmp's plan outputs (fused LSTM gates calling these
-// kernels on per-row segments) against the graph oracle (calling them on
-// whole tensors), so any lane- or chunk-dependence would break plan
-// installation. Accuracy against libm only needs to be a few ulp — the
-// consumers are saturating gate activations.
+// kernels on one gate plane over all rows) against the graph oracle
+// (calling them on whole tensors), so any lane- or chunk-dependence would
+// break plan installation. Lengths that are not a lane multiple end in a
+// masked vector iteration, which must neither change the valid lanes nor
+// write past y[n-1]. Accuracy against libm only needs to be a few ulp —
+// the consumers are saturating gate activations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "tensor/random.h"
@@ -62,6 +67,46 @@ TEST(VMath, ChunkingInvariant) {
   }
   EXPECT_EQ(0, std::memcmp(whole.data(), pieces.data(),
                            sizeof(float) * x.size()));
+}
+
+TEST(VMath, MaskedTailsMatchScalarAndStayInBounds) {
+  // Every length 1..40 (whole vectors plus every tail width under both the
+  // 8- and 16-lane kernels) at every input/output offset 0..15 from a
+  // 64-byte boundary. Sentinels around y[0, n) must survive.
+  constexpr int kMaxN = 40;
+  constexpr int kGuard = 16;
+  const std::vector<float> probe = probe_inputs();
+  alignas(64) float xbuf[16 + kMaxN];
+  alignas(64) float ybuf[kGuard + 16 + kMaxN + kGuard];
+  const float sentinel = -1234.5f;
+  using Kernel = void (*)(const float*, float*, int64_t);
+  using Scalar = float (*)(float);
+  const std::pair<Kernel, Scalar> kernels[] = {{vtanh, vtanh1},
+                                               {vsigmoid, vsigmoid1}};
+  for (const auto& [vec, one] : kernels) {
+    for (int n = 1; n <= kMaxN; ++n) {
+      for (int off = 0; off < 16; ++off) {
+        for (int i = 0; i < 16 + kMaxN; ++i)
+          xbuf[i] = probe[(static_cast<size_t>(n) * 97 + off * 13 + i) %
+                          probe.size()];
+        std::fill(std::begin(ybuf), std::end(ybuf), sentinel);
+        const float* x = xbuf + off;
+        float* y = ybuf + kGuard + off;
+        vec(x, y, n);
+        for (int i = 0; i < n; ++i) {
+          const float want = one(x[i]);
+          ASSERT_EQ(0, std::memcmp(&y[i], &want, sizeof(float)))
+              << "n=" << n << " off=" << off << " lane " << i;
+        }
+        for (float* p = ybuf; p < y; ++p)
+          ASSERT_EQ(*p, sentinel) << "n=" << n << " off=" << off
+                                  << " wrote before y[0]";
+        for (float* p = y + n; p < std::end(ybuf); ++p)
+          ASSERT_EQ(*p, sentinel) << "n=" << n << " off=" << off
+                                  << " wrote y[" << (p - y) << "]";
+      }
+    }
+  }
 }
 
 TEST(VMath, AccuracyAgainstLibm) {
