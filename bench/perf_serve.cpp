@@ -1,10 +1,10 @@
 // Serving-layer overhead (google-benchmark): one uncertainty-aware
-// predict() through serve::InferenceSession vs the raw batched MC forward
-// it wraps. The session adds stream-context setup, softmax + moments
-// aggregation and the (frozen, lock-free) pack-cache lookup — this bench
-// keeps that overhead visible. items/sec counts stochastic samples
-// (T × batch) per second, matching perf_mc_inference.cpp, so
-// BM_SessionPredict* is directly comparable against BM_Mc*Batched.
+// predict() through serve::InferenceSession vs the raw stacked MC outputs
+// (session.mc_outputs) it aggregates. predict adds the softmax + moments
+// aggregation — this bench keeps that overhead visible. items/sec counts
+// stochastic samples (T × batch) per second, matching
+// perf_mc_inference.cpp, so BM_SessionPredict* is directly comparable
+// against BM_Mc*Batched.
 //
 // BM_AsyncBatcher* measures the multi-client story: 8 producer threads
 // each submit single-row requests through serve::AsyncBatcher and block on
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "deploy/deploy.h"
-#include "models/evaluate.h"
 #include "models/lstm_forecaster.h"
 #include "models/m5.h"
 #include "models/resnet.h"
@@ -71,23 +70,32 @@ void BM_SessionPredictResNet(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionPredictResNet)->Arg(4)->Arg(8)->Arg(16);
 
-// Same model/shape via the deprecated raw helper (no aggregation): the
-// reference the session overhead is measured against.
+// Same model/shape, raw stacked outputs (no aggregation) from one
+// long-lived session: the reference the aggregation overhead is measured
+// against. `compile` picks the compiled plan (1) or the graph path (0);
+// BM_SessionPredictResNet serves compiled.
 void BM_RawMcForwardBatchedResNet(benchmark::State& state) {
   const int t = static_cast<int>(state.range(0));
   models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 12},
                              proposed());
   model.set_training(false);
   model.deploy();
+  serve::SessionOptions opts =
+      session_options(serve::TaskKind::kClassification, t);
+  opts.compile = state.range(1) != 0;
+  const serve::InferenceSession session(model, opts);
   Rng rng(1);
   Tensor x = Tensor::randn({1, 3, 16, 16}, rng);
+  (void)session.mc_outputs(x);  // warm the pack cache, compile the plan
   for (auto _ : state) {
-    Tensor y = models::mc_forward_batched(model, x, t, kSeed);
+    Tensor y = session.mc_outputs(x);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * t * x.dim(0));
 }
-BENCHMARK(BM_RawMcForwardBatchedResNet)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_RawMcForwardBatchedResNet)
+    ->ArgNames({"t", "compile"})
+    ->ArgsProduct({{4, 8, 16}, {0, 1}});
 
 void BM_SessionPredictM5(benchmark::State& state) {
   const int t = static_cast<int>(state.range(0));

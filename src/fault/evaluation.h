@@ -1,13 +1,12 @@
 // Fault-injection evaluation over the serving API.
 //
-// The §IV-A2 "chip instances" loop, rebased from the deprecated
-// evaluate.h free functions onto serve::InferenceSession: each Monte-Carlo
-// run perturbs the session's model in place, rebuilds the session's frozen
-// packed-weight cache (in-place mutation keeps the data pointers the cache
-// is keyed by), scores the session, and restores. Because the session owns
-// the mask streams, every chip instance is scored under the *same*
-// Bayesian samples — common random numbers across runs, so the spread
-// measures the faults, not the sampling.
+// The §IV-A2 "chip instances" loop over serve::InferenceSession: each
+// Monte-Carlo run perturbs the session's model in place, rebuilds the
+// session's frozen packed-weight cache (in-place mutation keeps the data
+// pointers the cache is keyed by), scores the session, and restores.
+// Because the session owns the mask streams, every chip instance is scored
+// under the *same* Bayesian samples — common random numbers across runs,
+// so the spread measures the faults, not the sampling.
 #pragma once
 
 #include <functional>

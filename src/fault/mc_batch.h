@@ -17,8 +17,10 @@
 // paths sample identical masks for the same base seed. The conv lowering
 // runs the same per-sample GEMM at any batch width and GEMM results do not
 // depend on tile boundaries, so the ResNet agrees bit for bit
-// (tests/serve_test.cpp); the model-level tests here assert 1e-4
-// agreement. See models/evaluate.h for the model-level drivers.
+// (tests/serve_test.cpp); the model-level tests in tests/mc_batch_test.cpp
+// assert 1e-4 agreement. serve::InferenceSession is the model-level driver
+// (ExecutionPolicy::kBatched vs kSerial; session.mc_outputs returns the
+// stacked outputs).
 #pragma once
 
 #include <cstdint>

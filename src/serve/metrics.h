@@ -1,6 +1,6 @@
-// Serving observability: dataset-level evaluation through a session (the
-// session-based replacements for the deprecated models/evaluate.h free
-// functions) and the lock-free counters of the async batching front door.
+// Serving observability: dataset-level evaluation through a session
+// (accuracy, RMSE, mIoU) and the lock-free counters of the async batching
+// front door.
 //
 // Each dataset helper streams the test set through session.predict in
 // chunks of the session's batch size and aggregates the task metric; the

@@ -15,19 +15,10 @@
 #include "nn/dropout.h"
 #include "nn/noise.h"
 #include "serve/trace.h"
-#include "tensor/ops.h"
 
 namespace ripple::serve {
 
 namespace {
-
-Tensor entropy_tensor(const Tensor& mean_probs) {
-  const std::vector<double> h = core::per_sample_entropy(mean_probs);
-  Tensor out = Tensor::empty({static_cast<int64_t>(h.size())});
-  for (size_t i = 0; i < h.size(); ++i)
-    out.data()[i] = static_cast<float>(h[i]);
-  return out;
-}
 
 /// True when t already matches ref's shape with leading dim `rows`; the
 /// steady-state predict_into path must not construct a Shape (that would
@@ -47,7 +38,129 @@ void ensure_like(Tensor& t, const Tensor& ref, int64_t rows) {
   t = Tensor::empty(std::move(s));
 }
 
+/// Across-replica mean and population variance (E[y²]−E[y]², clamped at 0)
+/// of the t replica blocks of `stacked` — fault::replica_moments' exact
+/// accumulation, into reused [T·N / t, ...] tensors.
+void replica_moments_into(const Tensor& stacked, int64_t t, Tensor& mean,
+                          Tensor& variance) {
+  ensure_like(mean, stacked, stacked.dim(0) / t);
+  ensure_like(variance, stacked, stacked.dim(0) / t);
+  const int64_t block = mean.numel();
+  float* pm = mean.data();
+  float* pv = variance.data();
+  std::memset(pm, 0, sizeof(float) * static_cast<size_t>(block));
+  std::memset(pv, 0, sizeof(float) * static_cast<size_t>(block));
+  const float* ps = stacked.data();
+  for (int64_t r = 0; r < t; ++r) {
+    const float* src = ps + r * block;
+    for (int64_t i = 0; i < block; ++i) {
+      pm[i] += src[i];
+      pv[i] += src[i] * src[i];
+    }
+  }
+  const float inv = 1.0f / static_cast<float>(t);
+  for (int64_t i = 0; i < block; ++i) {
+    pm[i] *= inv;
+    const float var = pv[i] * inv - pm[i] * pm[i];
+    pv[i] = var > 0.0f ? var : 0.0f;
+  }
+}
+
+void classify_into(const Tensor& stacked, int64_t t, Tensor& scratch,
+                   Classification& out) {
+  RIPPLE_CHECK(stacked.rank() == 2)
+      << "classification expects [N,C] logits, model returned "
+      << shape_to_string(stacked.shape());
+  const int64_t tn = stacked.dim(0);
+  const int64_t c = stacked.dim(1);
+  const int64_t n = tn / t;
+  // Softmax into the staging buffer — same loop as ops::softmax_rows.
+  ensure_like(scratch, stacked, tn);
+  const float* pl = stacked.data();
+  float* po = scratch.data();
+  for (int64_t i = 0; i < tn; ++i) {
+    const float* row = pl + i * c;
+    float* orow = po + i * c;
+    const float mx = *std::max_element(row, row + c);
+    double denom = 0.0;
+    for (int64_t j = 0; j < c; ++j) {
+      orow[j] = std::exp(row[j] - mx);
+      denom += orow[j];
+    }
+    for (int64_t j = 0; j < c; ++j)
+      orow[j] = static_cast<float>(orow[j] / denom);
+  }
+  replica_moments_into(scratch, t, out.mean_probs, out.variance);
+  if (!out.entropy.defined() || out.entropy.rank() != 1 ||
+      out.entropy.dim(0) != n)
+    out.entropy = Tensor::empty({n});
+  core::per_sample_entropy_into(out.mean_probs, out.entropy.data());
+  // Argmax of the mean — same tie-breaking as ops::argmax_rows.
+  const float* pm = out.mean_probs.data();
+  out.predictions.resize(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const float* row = pm + i * c;
+    out.predictions[static_cast<size_t>(i)] =
+        std::max_element(row, row + c) - row;
+  }
+  out.samples = static_cast<int>(t);
+}
+
+void regress_into(const Tensor& stacked, int64_t t, Regression& out) {
+  replica_moments_into(stacked, t, out.mean, out.stddev);
+  float* pv = out.stddev.data();
+  for (int64_t i = 0; i < out.stddev.numel(); ++i)
+    pv[i] = pv[i] > 0.0f ? std::sqrt(pv[i]) : 0.0f;
+  out.samples = static_cast<int>(t);
+}
+
+void segment_into(const Tensor& stacked, int64_t t, Tensor& scratch,
+                  Segmentation& out) {
+  ensure_like(scratch, stacked, stacked.dim(0));
+  const float* pl = stacked.data();
+  float* po = scratch.data();
+  for (int64_t i = 0; i < stacked.numel(); ++i)
+    po[i] = 1.0f / (1.0f + std::exp(-pl[i]));
+  // Mean over replicas — same accumulation as fault::replica_mean.
+  ensure_like(out.mean_probs, stacked, stacked.dim(0) / t);
+  const int64_t block = out.mean_probs.numel();
+  float* pm = out.mean_probs.data();
+  std::memset(pm, 0, sizeof(float) * static_cast<size_t>(block));
+  for (int64_t r = 0; r < t; ++r) {
+    const float* src = po + r * block;
+    for (int64_t i = 0; i < block; ++i) pm[i] += src[i];
+  }
+  const float inv = 1.0f / static_cast<float>(t);
+  for (int64_t i = 0; i < block; ++i) pm[i] *= inv;
+  out.samples = static_cast<int>(t);
+}
+
+/// The alternative A of `out`, switched to (default-constructed) only when
+/// `out` holds another one, so a reused Prediction keeps its storage.
+template <typename A>
+A& hold(Prediction& out) {
+  if (A* a = std::get_if<A>(&out)) return *a;
+  return out.emplace<A>();
+}
+
 }  // namespace
+
+void aggregate_into(TaskKind task, const Tensor& stacked, int samples,
+                    Tensor& scratch, Prediction& out) {
+  RIPPLE_CHECK(samples >= 1 && stacked.rank() >= 1 &&
+               stacked.dim(0) % samples == 0)
+      << "aggregate_into: " << shape_to_string(stacked.shape())
+      << " is not " << samples << " stacked replica blocks";
+  switch (task) {
+    case TaskKind::kClassification:
+      return classify_into(stacked, samples, scratch,
+                           hold<Classification>(out));
+    case TaskKind::kRegression:
+      return regress_into(stacked, samples, hold<Regression>(out));
+    case TaskKind::kSegmentation:
+      return segment_into(stacked, samples, scratch, hold<Segmentation>(out));
+  }
+}
 
 /// One leased execution context: the plan's buffer arena plus aggregation
 /// staging, reused across requests so the steady state never allocates.
@@ -380,34 +493,41 @@ void release_pooled(PlanCacheEntry& e, std::unique_ptr<PlanPooled> pooled) {
 
 }  // namespace
 
+template <typename Use>
+bool InferenceSession::execute_plan(PlanCacheEntry& e, const Tensor& xc,
+                                    Use&& use) const {
+  std::shared_ptr<const deploy::ExecutionPlan> plan;
+  {
+    std::lock_guard<std::mutex> lg(e.pool_mutex);
+    plan = e.plan;
+  }
+  if (plan == nullptr) return false;
+  auto pooled = acquire_pooled(e, plan);
+  bool ok = false;
+  {
+    deploy::ExecBackendScope backend_scope(backend_.get());
+    std::shared_lock<std::shared_mutex> lock(cache_mutex_);
+    // Invalidated mid-flight: the graph path re-warms the cache first.
+    if (pack_cache_.frozen()) {
+      PackCacheScope cache_scope(&pack_cache_);
+      use(plan->execute(xc, *pooled->ctx), pooled->scratch);
+      ok = true;
+    }
+  }
+  release_pooled(e, std::move(pooled));
+  return ok;
+}
+
 bool InferenceSession::run_chunk_planned(const Tensor& xc,
                                          int64_t chunk_offset,
                                          Tensor* out) const {
   PlanCache::EntryPtr e = plans_->find_or_create(xc.shape(), chunk_offset);
   if (e == nullptr) return false;
   const uint64_t fp = noise_fingerprint();
-
-  const auto execute = [&]() -> bool {
-    std::shared_ptr<const deploy::ExecutionPlan> plan;
-    {
-      std::lock_guard<std::mutex> lg(e->pool_mutex);
-      plan = e->plan;
-    }
-    if (plan == nullptr) return false;
-    auto pooled = acquire_pooled(*e, plan);
-    bool ok = false;
-    {
-      deploy::ExecBackendScope backend_scope(backend_.get());
-      std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-      // Invalidated mid-flight: the graph path re-warms the cache first.
-      if (pack_cache_.frozen()) {
-        PackCacheScope cache_scope(&pack_cache_);
-        *out = plan->execute(xc, *pooled->ctx).clone();
-        ok = true;
-      }
-    }
-    release_pooled(*e, std::move(pooled));
-    return ok;
+  const auto execute = [&] {
+    return execute_plan(*e, xc, [out](const Tensor& y, Tensor& /*scratch*/) {
+      *out = y.clone();
+    });
   };
 
   int st = e->state.load(std::memory_order_acquire);
@@ -539,162 +659,6 @@ Tensor InferenceSession::mc_outputs(const Tensor& x) const {
   return out;
 }
 
-Classification InferenceSession::aggregate_classification(
-    const Tensor& stacked, int64_t /*n*/) const {
-  RIPPLE_CHECK(stacked.rank() == 2)
-      << "classification expects [N,C] logits, model returned "
-      << shape_to_string(stacked.shape());
-  Tensor probs = ops::softmax_rows(stacked);
-  fault::ReplicaMoments moments =
-      fault::replica_moments(probs, static_cast<int>(samples_));
-  Classification out;
-  out.samples = samples_;
-  out.mean_probs = std::move(moments.mean);
-  out.variance = std::move(moments.variance);
-  out.entropy = entropy_tensor(out.mean_probs);
-  out.predictions = ops::argmax_rows(out.mean_probs);
-  return out;
-}
-
-Regression InferenceSession::aggregate_regression(const Tensor& stacked) const {
-  fault::ReplicaMoments moments =
-      fault::replica_moments(stacked, static_cast<int>(samples_));
-  Regression out;
-  out.samples = samples_;
-  out.mean = std::move(moments.mean);
-  out.stddev = ops::map(moments.variance,
-                        [](float v) { return v > 0.0f ? std::sqrt(v) : 0.0f; });
-  return out;
-}
-
-Segmentation InferenceSession::aggregate_segmentation(
-    const Tensor& stacked) const {
-  Tensor probs = ops::map(
-      stacked, [](float v) { return 1.0f / (1.0f + std::exp(-v)); });
-  Segmentation out;
-  out.samples = samples_;
-  out.mean_probs = fault::replica_mean(probs, static_cast<int>(samples_));
-  return out;
-}
-
-void InferenceSession::aggregate_classification_into(const Tensor& stacked,
-                                                     Tensor& scratch,
-                                                     Classification& out)
-    const {
-  RIPPLE_CHECK(stacked.rank() == 2)
-      << "classification expects [N,C] logits, model returned "
-      << shape_to_string(stacked.shape());
-  const int64_t tn = stacked.dim(0);
-  const int64_t c = stacked.dim(1);
-  const int64_t t = samples_;
-  const int64_t n = tn / t;
-  // Softmax into the staging buffer — same loop as ops::softmax_rows.
-  ensure_like(scratch, stacked, tn);
-  {
-    const float* pl = stacked.data();
-    float* po = scratch.data();
-    for (int64_t i = 0; i < tn; ++i) {
-      const float* row = pl + i * c;
-      float* orow = po + i * c;
-      const float mx = *std::max_element(row, row + c);
-      double denom = 0.0;
-      for (int64_t j = 0; j < c; ++j) {
-        orow[j] = std::exp(row[j] - mx);
-        denom += orow[j];
-      }
-      for (int64_t j = 0; j < c; ++j)
-        orow[j] = static_cast<float>(orow[j] / denom);
-    }
-  }
-  // Across-replica moments — same accumulation as fault::replica_moments.
-  ensure_like(out.mean_probs, stacked, n);
-  ensure_like(out.variance, stacked, n);
-  const int64_t block = out.mean_probs.numel();
-  float* pm = out.mean_probs.data();
-  float* pv = out.variance.data();
-  std::memset(pm, 0, sizeof(float) * static_cast<size_t>(block));
-  std::memset(pv, 0, sizeof(float) * static_cast<size_t>(block));
-  const float* ps = scratch.data();
-  for (int64_t r = 0; r < t; ++r) {
-    const float* src = ps + r * block;
-    for (int64_t i = 0; i < block; ++i) {
-      pm[i] += src[i];
-      pv[i] += src[i] * src[i];
-    }
-  }
-  const float inv = 1.0f / static_cast<float>(t);
-  for (int64_t i = 0; i < block; ++i) {
-    pm[i] *= inv;
-    const float var = pv[i] * inv - pm[i] * pm[i];
-    pv[i] = var > 0.0f ? var : 0.0f;
-  }
-  if (!out.entropy.defined() || out.entropy.rank() != 1 ||
-      out.entropy.dim(0) != n)
-    out.entropy = Tensor::empty({n});
-  core::per_sample_entropy_into(out.mean_probs, out.entropy.data());
-  out.predictions.resize(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const float* row = pm + i * c;
-    out.predictions[static_cast<size_t>(i)] =
-        std::max_element(row, row + c) - row;
-  }
-  out.samples = static_cast<int>(t);
-}
-
-void InferenceSession::aggregate_regression_into(const Tensor& stacked,
-                                                 Regression& out) const {
-  const int64_t t = samples_;
-  const int64_t rows = stacked.dim(0) / t;
-  ensure_like(out.mean, stacked, rows);
-  ensure_like(out.stddev, stacked, rows);
-  const int64_t block = out.mean.numel();
-  float* pm = out.mean.data();
-  float* pv = out.stddev.data();
-  std::memset(pm, 0, sizeof(float) * static_cast<size_t>(block));
-  std::memset(pv, 0, sizeof(float) * static_cast<size_t>(block));
-  const float* ps = stacked.data();
-  for (int64_t r = 0; r < t; ++r) {
-    const float* src = ps + r * block;
-    for (int64_t i = 0; i < block; ++i) {
-      pm[i] += src[i];
-      pv[i] += src[i] * src[i];
-    }
-  }
-  const float inv = 1.0f / static_cast<float>(t);
-  for (int64_t i = 0; i < block; ++i) {
-    pm[i] *= inv;
-    const float var = pv[i] * inv - pm[i] * pm[i];
-    pv[i] = var > 0.0f ? std::sqrt(var) : 0.0f;
-  }
-  out.samples = static_cast<int>(t);
-}
-
-void InferenceSession::aggregate_segmentation_into(const Tensor& stacked,
-                                                   Tensor& scratch,
-                                                   Segmentation& out) const {
-  const int64_t t = samples_;
-  ensure_like(scratch, stacked, stacked.dim(0));
-  {
-    const float* pl = stacked.data();
-    float* po = scratch.data();
-    const int64_t total = stacked.numel();
-    for (int64_t i = 0; i < total; ++i)
-      po[i] = 1.0f / (1.0f + std::exp(-pl[i]));
-  }
-  ensure_like(out.mean_probs, stacked, stacked.dim(0) / t);
-  const int64_t block = out.mean_probs.numel();
-  float* pm = out.mean_probs.data();
-  std::memset(pm, 0, sizeof(float) * static_cast<size_t>(block));
-  const float* ps = scratch.data();
-  for (int64_t r = 0; r < t; ++r) {
-    const float* src = ps + r * block;
-    for (int64_t i = 0; i < block; ++i) pm[i] += src[i];
-  }
-  const float inv = 1.0f / static_cast<float>(t);
-  for (int64_t i = 0; i < block; ++i) pm[i] *= inv;
-  out.samples = static_cast<int>(t);
-}
-
 void InferenceSession::predict_into(const Tensor& x, Prediction& out) const {
   RIPPLE_CHECK(x.rank() >= 1 && x.dim(0) >= 1)
       << "predict needs a batched input, got shape "
@@ -706,75 +670,31 @@ void InferenceSession::predict_into(const Tensor& x, Prediction& out) const {
     if (e != nullptr &&
         e->state.load(std::memory_order_acquire) == PlanCacheEntry::kReady &&
         e->fingerprint == noise_fingerprint()) {
-      std::shared_ptr<const deploy::ExecutionPlan> plan;
-      {
-        std::lock_guard<std::mutex> lg(e->pool_mutex);
-        plan = e->plan;
-      }
-      if (plan != nullptr) {
-        // Traced requests get a per-request execute span (detail 1 = plan
-        // path); untraced steady state pays one thread-local read.
-        trace::TraceData* req = trace::active_request();
-        std::chrono::steady_clock::time_point exec_start;
-        if (req != nullptr) exec_start = std::chrono::steady_clock::now();
-        auto pooled = acquire_pooled(*e, plan);
-        bool served = false;
-        {
-          deploy::ExecBackendScope backend_scope(backend_.get());
-          std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-          if (pack_cache_.frozen()) {
-            PackCacheScope cache_scope(&pack_cache_);
-            const Tensor& stacked = plan->execute(x, *pooled->ctx);
-            switch (options_.task) {
-              case TaskKind::kClassification: {
-                auto* c = std::get_if<Classification>(&out);
-                if (c == nullptr) {
-                  out = Classification{};
-                  c = &std::get<Classification>(out);
-                }
-                aggregate_classification_into(stacked, pooled->scratch, *c);
-                break;
-              }
-              case TaskKind::kRegression: {
-                auto* r = std::get_if<Regression>(&out);
-                if (r == nullptr) {
-                  out = Regression{};
-                  r = &std::get<Regression>(out);
-                }
-                aggregate_regression_into(stacked, *r);
-                break;
-              }
-              case TaskKind::kSegmentation: {
-                auto* s = std::get_if<Segmentation>(&out);
-                if (s == nullptr) {
-                  out = Segmentation{};
-                  s = &std::get<Segmentation>(out);
-                }
-                aggregate_segmentation_into(stacked, pooled->scratch, *s);
-                break;
-              }
-            }
-            served = true;
-          }
+      // Traced requests get a per-request execute span (detail 1 = plan
+      // path); untraced steady state pays one thread-local read.
+      trace::TraceData* req = trace::active_request();
+      std::chrono::steady_clock::time_point exec_start;
+      if (req != nullptr) exec_start = std::chrono::steady_clock::now();
+      const bool served = execute_plan(
+          *e, x, [&](const Tensor& stacked, Tensor& scratch) {
+            aggregate_into(options_.task, stacked, samples_, scratch, out);
+          });
+      if (served) {
+        if (req != nullptr) {
+          trace::Tracer::instance().record_span(
+              req, trace::Stage::kExecute, exec_start,
+              std::chrono::steady_clock::now(), /*detail=*/1);
         }
-        release_pooled(*e, std::move(pooled));
-        if (served) {
-          if (req != nullptr) {
-            trace::Tracer::instance().record_span(
-                req, trace::Stage::kExecute, exec_start,
-                std::chrono::steady_clock::now(), /*detail=*/1);
-          }
-          requests_.fetch_add(1, std::memory_order_relaxed);
-          rows_.fetch_add(static_cast<uint64_t>(n),
-                          std::memory_order_relaxed);
-          return;
-        }
+        requests_.fetch_add(1, std::memory_order_relaxed);
+        rows_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+        return;
       }
     }
   }
-  // No verified plan for this shape yet: the allocating path (which also
-  // compiles one for next time).
-  out = predict(x);
+  // No verified plan for this shape yet: aggregate the stacked outputs of
+  // the chunked path, which also compiles a plan for next time.
+  Tensor scratch;
+  aggregate_into(options_.task, mc_outputs(x), samples_, scratch, out);
 }
 
 PlanInfo InferenceSession::plan_info(const Shape& input_shape,
@@ -860,35 +780,28 @@ PlanInfo InferenceSession::precompile(const Shape& input_shape) const {
   return plan_info(input_shape, /*chunk_offset=*/0);
 }
 
+Prediction InferenceSession::predict(const Tensor& x) const {
+  Prediction out;
+  predict_into(x, out);
+  return out;
+}
+
 Classification InferenceSession::classify(const Tensor& x) const {
   RIPPLE_CHECK(options_.task == TaskKind::kClassification)
       << "classify() on a " << task_kind_name(options_.task) << " session";
-  return aggregate_classification(mc_outputs(x), x.dim(0));
+  return std::get<Classification>(predict(x));
 }
 
 Regression InferenceSession::regress(const Tensor& x) const {
   RIPPLE_CHECK(options_.task == TaskKind::kRegression)
       << "regress() on a " << task_kind_name(options_.task) << " session";
-  return aggregate_regression(mc_outputs(x));
+  return std::get<Regression>(predict(x));
 }
 
 Segmentation InferenceSession::segment(const Tensor& x) const {
   RIPPLE_CHECK(options_.task == TaskKind::kSegmentation)
       << "segment() on a " << task_kind_name(options_.task) << " session";
-  return aggregate_segmentation(mc_outputs(x));
-}
-
-Prediction InferenceSession::predict(const Tensor& x) const {
-  switch (options_.task) {
-    case TaskKind::kClassification:
-      return classify(x);
-    case TaskKind::kRegression:
-      return regress(x);
-    case TaskKind::kSegmentation:
-      return segment(x);
-  }
-  RIPPLE_CHECK(false) << "unknown task kind";
-  return Prediction{};
+  return std::get<Segmentation>(predict(x));
 }
 
 namespace {

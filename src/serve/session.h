@@ -90,8 +90,8 @@ struct SessionOptions {
   /// still deterministic — Monte-Carlo draw than the unchunked one.
   int64_t max_batch = 256;
   /// Clamp mc_samples to 1 for deterministic variants (mc_samples_for).
-  /// The deprecated mc_forward_* shims disable this to preserve their
-  /// stack-t-replicas-regardless contract.
+  /// Disable to stack exactly mc_samples replicas whatever the variant
+  /// (e.g. to check that a deterministic model's replicas agree).
   bool clamp_samples = true;
   /// Compile fused, zero-allocation execution plans per (input shape,
   /// chunk offset) and serve from them once each plan is verified
@@ -150,6 +150,21 @@ struct Segmentation {
 
 using Prediction = std::variant<Classification, Regression, Segmentation>;
 
+/// The one Monte-Carlo reduction per task, behind every serving entry
+/// point (predict, predict_into, classify/regress/segment, predict_many).
+/// Reduces the stacked [T·N, ...] outputs of `samples` = T stochastic
+/// passes (replica-major) into `out`, switching it to the task's
+/// alternative and reusing its tensors when their shapes already match:
+///   classification — softmax per stacked row, across-replica mean and
+///     population variance, predictive entropy of the mean, argmax;
+///   regression     — across-replica mean and population stddev;
+///   segmentation   — across-replica mean of the sigmoid probabilities.
+/// `scratch` stages the per-row probabilities. Bit-equal to composing
+/// ops::softmax_rows, fault::replica_moments, core::per_sample_entropy and
+/// ops::argmax_rows (fault::replica_mean for segmentation).
+void aggregate_into(TaskKind task, const Tensor& stacked, int samples,
+                    Tensor& scratch, Prediction& out);
+
 /// One compiled plan + context pool for an (input shape, chunk offset)
 /// key; defined in session.cpp.
 struct PlanCacheEntry;
@@ -203,15 +218,16 @@ class InferenceSession {
 
   /// One uncertainty-aware prediction for a batch x [N, ...]; the held
   /// alternative matches options().task. Thread-safe and deterministic:
-  /// same input ⇒ same result, from any thread.
+  /// same input ⇒ same result, from any thread. predict_into on fresh
+  /// storage.
   Prediction predict(const Tensor& x) const;
 
-  /// Zero-allocation prediction into caller-owned result storage: when a
-  /// verified plan covers x's shape, the forward runs on the plan's arena
-  /// and the aggregation reuses `out`'s tensors (steady state performs no
-  /// heap allocation). Falls back to `out = predict(x)` — compiling a plan
-  /// for next time — when no plan is ready. Results are bit-identical to
-  /// predict() either way.
+  /// predict() into caller-owned result storage, reusing `out`'s tensors
+  /// when their shapes match. When a verified plan covers x's shape, the
+  /// forward runs on the plan's arena and is aggregated straight from it
+  /// (the steady state performs no heap allocation); otherwise the stacked
+  /// mc_outputs(x) are aggregated — which also compiles a plan for next
+  /// time. Both use aggregate_into, so results are the same bits either way.
   void predict_into(const Tensor& x, Prediction& out) const;
 
   /// Traces, compiles and verifies a plan for `input_shape` (batch dim
@@ -235,14 +251,15 @@ class InferenceSession {
   /// splits the aggregated results back per request.
   std::vector<Prediction> predict_many(const std::vector<Tensor>& requests) const;
 
-  /// Typed entry points; RIPPLE_CHECK the session's task kind.
+  /// Typed entry points: the alternative predict(x) holds; RIPPLE_CHECK the
+  /// session's task kind.
   Classification classify(const Tensor& x) const;
   Regression regress(const Tensor& x) const;
   Segmentation segment(const Tensor& x) const;
 
   /// The stacked raw model outputs [T·N, ...], replica-major — the
-  /// uncertainty estimate before aggregation. Building block of the
-  /// deprecated mc_forward_* shims and of cross-policy tests.
+  /// uncertainty estimate before aggregation (aggregate_into reduces it).
+  /// Serves from a compiled plan when one is ready, like predict.
   Tensor mc_outputs(const Tensor& x) const;
 
   /// Rebuilds the frozen packed-weight cache. Required after anything
@@ -305,19 +322,14 @@ class InferenceSession {
   /// Forward under the pack cache; first call records + freezes it.
   Tensor forward_cached(const Tensor& stacked_or_chunk) const;
 
-  Classification aggregate_classification(const Tensor& stacked,
-                                          int64_t n) const;
-  Regression aggregate_regression(const Tensor& stacked) const;
-  Segmentation aggregate_segmentation(const Tensor& stacked) const;
-
-  /// Allocation-free aggregation mirrors (same arithmetic, caller-owned
-  /// outputs); `scratch` stages the softmax / sigmoid probabilities.
-  void aggregate_classification_into(const Tensor& stacked, Tensor& scratch,
-                                     Classification& out) const;
-  void aggregate_regression_into(const Tensor& stacked,
-                                 Regression& out) const;
-  void aggregate_segmentation_into(const Tensor& stacked, Tensor& scratch,
-                                   Segmentation& out) const;
+  /// The one plan-execute block: leases a pooled context of `e`'s plan,
+  /// runs xc on it under the execution backend and the pack cache's shared
+  /// lock, hands `use(arena output, context scratch)` the result, and
+  /// returns the context to the pool. False when the entry holds no plan or
+  /// the weights were invalidated mid-flight (serve from the graph, which
+  /// re-warms the cache). Defined and instantiated in session.cpp only.
+  template <typename Use>
+  bool execute_plan(PlanCacheEntry& e, const Tensor& xc, Use&& use) const;
 
   /// Fingerprint of the model's activation-noise configuration; plans bake
   /// noise draws as constants, so a config change invalidates them.

@@ -26,7 +26,7 @@ struct InParallelScope {
 
 ThreadPool::ThreadPool(int num_threads) {
   RIPPLE_CHECK(num_threads >= 1) << "pool needs >= 1 thread";
-  // With one thread, jobs and loops run inline; no workers are spawned.
+  // With one thread, loops run inline; no workers are spawned.
   if (num_threads == 1) return;
   workers_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i)
@@ -40,25 +40,6 @@ ThreadPool::~ThreadPool() {
   }
   cv_job_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::enqueue(std::function<void()> job) {
-  if (workers_.empty()) {
-    job();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.push(std::move(job));
-    ++in_flight_;
-  }
-  cv_job_.notify_one();
-}
-
-void ThreadPool::wait_all() {
-  if (workers_.empty()) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::run_task_chunks() {
@@ -85,35 +66,20 @@ void ThreadPool::run_task_chunks() {
 
 void ThreadPool::worker_loop() {
   uint64_t seen_epoch = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_job_.wait(lock, [&] {
-        return stop_ || !jobs_.empty() ||
-               (task_active_ && task_epoch_ != seen_epoch);
-      });
-      if (stop_ && jobs_.empty()) return;
-      if (jobs_.empty()) {
-        // Join the active parallel region (at most once per epoch).
-        seen_epoch = task_epoch_;
-        ++task_running_;
-        lock.unlock();
-        run_task_chunks();
-        lock.lock();
-        --task_running_;
-        if (task_running_ == 0) cv_done_.notify_all();
-        continue;
-      }
-      job = std::move(jobs_.front());
-      jobs_.pop();
-    }
-    job();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_done_.notify_all();
-    }
+    cv_job_.wait(lock, [&] {
+      return stop_ || (task_active_ && task_epoch_ != seen_epoch);
+    });
+    if (stop_) return;
+    // Join the active parallel region (at most once per epoch).
+    seen_epoch = task_epoch_;
+    ++task_running_;
+    lock.unlock();
+    run_task_chunks();
+    lock.lock();
+    --task_running_;
+    if (task_running_ == 0) cv_done_.notify_all();
   }
 }
 

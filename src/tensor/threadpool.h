@@ -20,9 +20,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -38,11 +36,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueue a standalone job; wait_all() blocks until every enqueued job
-  /// finished. (Legacy API — prefer parallel_run for loops.)
-  void enqueue(std::function<void()> job);
-  void wait_all();
 
   /// Non-owning loop body: a plain function pointer plus the address of the
   /// caller's callable. parallel_run used to take std::function, which heap-
@@ -76,10 +69,6 @@ class ThreadPool {
   void run_task_chunks();
 
   std::vector<std::thread> workers_;
-
-  // Legacy job queue (enqueue/wait_all).
-  std::queue<std::function<void()>> jobs_;
-  int in_flight_ = 0;
 
   // Active parallel-region descriptor. Written by parallel_run under
   // mutex_; next index claimed lock-free.

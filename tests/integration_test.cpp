@@ -5,12 +5,29 @@
 
 #include "data/synthetic_images.h"
 #include "fault/injector.h"
-#include "models/evaluate.h"
 #include "models/resnet.h"
 #include "models/trainer.h"
+#include "serve/metrics.h"
+#include "serve/session.h"
+#include "tensor/random.h"
 
 namespace ripple::models {
 namespace {
+
+/// MC accuracy through a session seeded from the process-wide generator
+/// (drawn here, once per evaluation, so reseeding global_rng() makes
+/// consecutive evaluations reproducible) that runs `batch_size` inputs per
+/// forward pass (max_batch counts stacked rows, hence the effective T).
+double session_accuracy(TaskModel& model, const data::ClassificationData& test,
+                        int mc_samples, int64_t batch_size = 64) {
+  serve::SessionOptions opts;
+  opts.task = serve::TaskKind::kClassification;
+  opts.mc_samples = mc_samples;
+  opts.seed = global_rng().next_u64();
+  opts.max_batch = batch_size * mc_samples_for(model.variant(), mc_samples);
+  serve::InferenceSession session(model, opts);
+  return serve::accuracy(session, test);
+}
 
 struct Trained {
   std::unique_ptr<BinaryResNet> model;
@@ -42,7 +59,7 @@ Trained train_variant(Variant variant) {
 
   Trained out;
   out.clean_accuracy =
-      accuracy_mc(*model, test, mc_samples_for(variant, 8));
+      session_accuracy(*model, test, mc_samples_for(variant, 8));
   out.model = std::move(model);
   out.test = std::move(test);
   return out;
@@ -86,7 +103,7 @@ TEST(Integration, ProposedSurvivesBitFlipsBetterThanConventional) {
       fault::FaultInjector inj(t.model->fault_targets(), t.model->noise());
       Rng rng(100 + static_cast<uint64_t>(r));
       inj.apply(fault::FaultSpec::bitflips(0.20f), rng);
-      total += accuracy_mc(*t.model, t.test, samples);
+      total += session_accuracy(*t.model, t.test, samples);
       inj.restore();
     }
     return total / runs;
@@ -117,11 +134,11 @@ TEST(Integration, ActivationNoiseDegradesGracefullyForProposed) {
                              proposed.model->noise());
     Rng rng(200 + static_cast<uint64_t>(r));
     inj.apply(fault::FaultSpec::additive(0.4f, /*on_activations=*/true), rng);
-    noisy_total += accuracy_mc(*proposed.model, proposed.test, 8);
+    noisy_total += session_accuracy(*proposed.model, proposed.test, 8);
     inj.restore();
   }
   const double noisy = noisy_total / runs;
-  const double clean = accuracy_mc(*proposed.model, proposed.test, 8);
+  const double clean = session_accuracy(*proposed.model, proposed.test, 8);
   EXPECT_GT(noisy, 0.3);  // still far above chance
   // Noise must not *systematically* help; allow the sampling slack above.
   EXPECT_GE(clean + 1e-9, noisy - 0.10);
@@ -132,14 +149,14 @@ TEST(Integration, InjectionIsFullyReversible) {
   // deterministic before/after comparison must reseed around each call.
   Trained t = train_variant(Variant::kProposed);
   global_rng().reseed(4242);
-  const double before = accuracy_mc(*t.model, t.test, 8);
+  const double before = session_accuracy(*t.model, t.test, 8);
   {
     fault::FaultInjector inj(t.model->fault_targets(), t.model->noise());
     Rng rng(300);
     inj.apply(fault::FaultSpec::bitflips(0.3f), rng);
   }
   global_rng().reseed(4242);
-  const double after = accuracy_mc(*t.model, t.test, 8);
+  const double after = session_accuracy(*t.model, t.test, 8);
   EXPECT_NEAR(before, after, 1e-9);
 }
 

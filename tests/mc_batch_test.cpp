@@ -9,7 +9,6 @@
 
 #include "core/inverted_norm.h"
 #include "core/mc_stream.h"
-#include "models/evaluate.h"
 #include "models/lstm_forecaster.h"
 #include "models/m5.h"
 #include "models/resnet.h"
@@ -24,6 +23,21 @@ using fault::layer_stream_seed;
 using fault::replica_mean;
 using fault::replica_moments;
 using fault::replicate_batch;
+
+/// Stacked [t·N, ...] MC outputs of `model` through a session that stacks
+/// exactly t replicas whatever the variant and serves x as one chunk.
+Tensor stacked_outputs(models::TaskModel& model, const Tensor& x, int t,
+                       uint64_t seed, serve::ExecutionPolicy policy =
+                                          serve::ExecutionPolicy::kBatched) {
+  serve::SessionOptions opts;
+  opts.mc_samples = t;
+  opts.seed = seed;
+  opts.policy = policy;
+  opts.max_batch = x.dim(0) * t;
+  opts.clamp_samples = false;
+  serve::InferenceSession session(model, opts);
+  return session.mc_outputs(x);
+}
 
 TEST(McBatch, ReplicateBatchTilesReplicaMajor) {
   Tensor x({2, 3}, {1, 2, 3, 4, 5, 6});
@@ -104,8 +118,9 @@ TEST(McBatch, ResNetBatchedMatchesSerial) {
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   const int t = 5;
   const uint64_t seed = 99;
-  Tensor batched = models::mc_forward_batched(model, x, t, seed);
-  Tensor serial = models::mc_forward_serial(model, x, t, seed);
+  Tensor batched = stacked_outputs(model, x, t, seed);
+  Tensor serial = stacked_outputs(model, x, t, seed,
+                                  serve::ExecutionPolicy::kSerial);
   ASSERT_EQ(batched.shape(), serial.shape());
   ASSERT_EQ(batched.dim(0), t * x.dim(0));
   for (int64_t i = 0; i < batched.numel(); ++i)
@@ -119,8 +134,9 @@ TEST(McBatch, M5BatchedMatchesSerial) {
   Rng rng(12);
   Tensor x = Tensor::randn({2, 1, 512}, rng);
   const int t = 3;
-  Tensor batched = models::mc_forward_batched(model, x, t, 7);
-  Tensor serial = models::mc_forward_serial(model, x, t, 7);
+  Tensor batched = stacked_outputs(model, x, t, 7);
+  Tensor serial = stacked_outputs(model, x, t, 7,
+                                  serve::ExecutionPolicy::kSerial);
   ASSERT_EQ(batched.shape(), serial.shape());
   for (int64_t i = 0; i < batched.numel(); ++i)
     ASSERT_NEAR(batched.data()[i], serial.data()[i], 1e-4f) << "at " << i;
@@ -133,8 +149,9 @@ TEST(McBatch, LstmBatchedMatchesSerial) {
   Rng rng(13);
   Tensor x = Tensor::randn({3, 12, 1}, rng);
   const int t = 4;
-  Tensor batched = models::mc_forward_batched(model, x, t, 21);
-  Tensor serial = models::mc_forward_serial(model, x, t, 21);
+  Tensor batched = stacked_outputs(model, x, t, 21);
+  Tensor serial = stacked_outputs(model, x, t, 21,
+                                  serve::ExecutionPolicy::kSerial);
   ASSERT_EQ(batched.shape(), serial.shape());
   for (int64_t i = 0; i < batched.numel(); ++i)
     ASSERT_NEAR(batched.data()[i], serial.data()[i], 1e-4f) << "at " << i;
@@ -212,8 +229,9 @@ TEST(McBatch, SpinDropModelBatchedMatchesSerial) {
   Rng rng(33);
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   const int t = 4;
-  Tensor batched = models::mc_forward_batched(model, x, t, 55);
-  Tensor serial = models::mc_forward_serial(model, x, t, 55);
+  Tensor batched = stacked_outputs(model, x, t, 55);
+  Tensor serial = stacked_outputs(model, x, t, 55,
+                                  serve::ExecutionPolicy::kSerial);
   ASSERT_EQ(batched.shape(), serial.shape());
   for (int64_t i = 0; i < batched.numel(); ++i)
     ASSERT_NEAR(batched.data()[i], serial.data()[i], 1e-4f) << "at " << i;
@@ -226,8 +244,9 @@ TEST(McBatch, SpatialSpinDropModelBatchedMatchesSerial) {
   Rng rng(34);
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   const int t = 3;
-  Tensor batched = models::mc_forward_batched(model, x, t, 66);
-  Tensor serial = models::mc_forward_serial(model, x, t, 66);
+  Tensor batched = stacked_outputs(model, x, t, 66);
+  Tensor serial = stacked_outputs(model, x, t, 66,
+                                  serve::ExecutionPolicy::kSerial);
   ASSERT_EQ(batched.shape(), serial.shape());
   for (int64_t i = 0; i < batched.numel(); ++i)
     ASSERT_NEAR(batched.data()[i], serial.data()[i], 1e-4f) << "at " << i;
@@ -241,7 +260,7 @@ TEST(McBatch, ConventionalReplicasAreIdentical) {
   model.set_training(false);
   Rng rng(14);
   Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
-  Tensor stacked = models::mc_forward_batched(model, x, 3, 1);
+  Tensor stacked = stacked_outputs(model, x, 3, 1);
   Tensor plain = model.predict(x);
   for (int r = 0; r < 3; ++r)
     for (int64_t i = 0; i < plain.numel(); ++i)
@@ -249,13 +268,14 @@ TEST(McBatch, ConventionalReplicasAreIdentical) {
                   1e-4f);
 }
 
-TEST(McBatch, ProbsMcBatchedAggregates) {
+TEST(McBatch, BatchedClassifyAggregates) {
   models::BinaryResNet model({.in_channels = 3, .classes = 10, .width = 4},
                              {.variant = models::Variant::kProposed});
   model.set_training(false);
   Rng rng(15);
   Tensor x = Tensor::randn({3, 3, 16, 16}, rng);
-  const core::McClassification mc = models::probs_mc_batched(model, x, 6, 2);
+  serve::InferenceSession session(model, {.mc_samples = 6, .seed = 2});
+  const serve::Classification mc = session.classify(x);
   EXPECT_EQ(mc.samples, 6);
   ASSERT_EQ(mc.mean_probs.shape(), Shape({3, 10}));
   ASSERT_EQ(mc.variance.shape(), Shape({3, 10}));
@@ -317,7 +337,7 @@ TEST(McBatch, BatchedForwardRestoresLayerState) {
   model.set_training(false);
   Rng rng(16);
   Tensor x = Tensor::randn({1, 3, 16, 16}, rng);
-  (void)models::mc_forward_batched(model, x, 4, 3);
+  (void)stacked_outputs(model, x, 4, 3);
   // After the scope exits the model must run plain single-pass inference
   // again (replicas back to 1, mask streams cleared).
   for (auto* l : model.inverted_norm_layers()) {

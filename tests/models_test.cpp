@@ -3,13 +3,15 @@
 #include <cmath>
 #include <filesystem>
 
-#include "models/evaluate.h"
 #include "models/lstm_forecaster.h"
 #include "models/m5.h"
 #include "models/resnet.h"
 #include "models/unet.h"
 #include "models/zoo.h"
+#include "serve/metrics.h"
+#include "serve/session.h"
 #include "tensor/ops.h"
+#include "tensor/random.h"
 
 namespace ripple::models {
 namespace {
@@ -197,7 +199,12 @@ TEST(Evaluate, AccuracyOnSeparableToyData) {
   data::ClassificationData d;
   d.x = Tensor::randn({40, 3, 16, 16}, rng);
   for (int64_t i = 0; i < 40; ++i) d.y.push_back(i % 10);
-  const double acc = accuracy_mc(model, d, 1);
+  serve::InferenceSession session(model,
+                                  {.task = serve::TaskKind::kClassification,
+                                   .mc_samples = 1,
+                                   .seed = global_rng().next_u64(),
+                                   .max_batch = 64});
+  const double acc = serve::accuracy(session, d);
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 0.4);
 }

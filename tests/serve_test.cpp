@@ -1,8 +1,7 @@
 // serve::InferenceSession — the thread-safe, uncertainty-aware serving API:
 // typed results for all four task types, batched-vs-serial policy parity,
-// equality with the deprecated evaluate.h helpers, micro-batching, and a
-// multi-threaded hammer that checks concurrent predicts are exact and
-// deterministic.
+// micro-batching, and a multi-threaded hammer that checks concurrent
+// predicts are exact and deterministic.
 #include "serve/session.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 
 #include "core/inverted_norm.h"
 #include "fault/injector.h"
-#include "models/evaluate.h"
 #include "models/lstm_forecaster.h"
 #include "models/m5.h"
 #include "models/resnet.h"
@@ -143,7 +141,7 @@ TEST(Serve, TypedEntryPointChecksTaskKind) {
   EXPECT_THROW(session.segment(x), CheckError);
 }
 
-// ---- policy parity and legacy-helper equality -----------------------------
+// ---- policy parity ---------------------------------------------------------
 
 TEST(Serve, BatchedPolicyMatchesSerialOracle) {
   const uint64_t seed = 1234;
@@ -167,38 +165,6 @@ TEST(Serve, BatchedPolicyMatchesSerialOracle) {
   }
   ASSERT_EQ(batched.dim(0), t * x.dim(0));
   expect_tensors_near(batched, serial, 1e-4f, "batched vs serial policy");
-}
-
-TEST(Serve, SessionMatchesDeprecatedHelpers) {
-  // Acceptance: session outputs equal the old evaluate.h surface for the
-  // same seed, for the raw stacked outputs and the aggregated result.
-  const uint64_t seed = 777;
-  const int t = 4;
-  Rng rng(7);
-  Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
-  models::BinaryResNet model(small_resnet(), variant());
-  Tensor session_out;
-  Classification session_mc;
-  {
-    InferenceSession session(
-        model, options_for(TaskKind::kClassification, t, seed,
-                           ExecutionPolicy::kBatched));
-    session_out = session.mc_outputs(x);
-    session_mc = session.classify(x);
-  }
-  Tensor legacy_batched = models::mc_forward_batched(model, x, t, seed);
-  Tensor legacy_serial = models::mc_forward_serial(model, x, t, seed);
-  expect_tensors_near(session_out, legacy_batched, 0.0f,
-                      "session vs legacy batched");
-  expect_tensors_near(session_out, legacy_serial, 1e-4f,
-                      "session vs legacy serial");
-  const core::McClassification legacy_mc =
-      models::probs_mc_batched(model, x, t, seed);
-  expect_tensors_near(session_mc.mean_probs, legacy_mc.mean_probs, 0.0f,
-                      "session vs legacy mean probs");
-  expect_tensors_near(session_mc.variance, legacy_mc.variance, 0.0f,
-                      "session vs legacy variance");
-  ASSERT_EQ(session_mc.predictions, legacy_mc.predictions);
 }
 
 TEST(Serve, SameSeedSameResultAcrossSessions) {

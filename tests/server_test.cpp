@@ -265,7 +265,7 @@ TEST(ModelServer, HotSwapUnderLoadDropsAndDuplicatesNothing) {
   constexpr int kPerProducer = 50;
   std::vector<std::vector<std::future<Prediction>>> futures(kProducers);
   std::atomic<int> submitted_before_swap{0};
-  std::vector<std::thread> producers;
+  std::vector<std::jthread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
@@ -407,9 +407,10 @@ TEST(ModelServer, RegisterTenantReconfiguresSafelyUnderTraffic) {
   // Reconfigure the tenant repeatedly while it is mid-submit: requests
   // that resolved the old Tenant object must keep a live reference to it
   // (admission, on_submit, seed salt) — never a freed one.
-  std::atomic<bool> stop{false};
-  std::thread reconfigurer([&] {
-    while (!stop.load()) {
+  // A jthread: a failed ASSERT below returns early, and its destructor
+  // then requests the stop and joins instead of aborting.
+  std::jthread reconfigurer([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
       server.register_tenant({.id = "t", .seed_salt = 0});
       std::this_thread::yield();
     }
@@ -419,7 +420,7 @@ TEST(ModelServer, RegisterTenantReconfiguresSafelyUnderTraffic) {
     Response r = server.serve(request_for("t", "fleet", x));
     ASSERT_EQ(r.status, Status::kOk) << r.error;
   }
-  stop.store(true);
+  reconfigurer.request_stop();
   reconfigurer.join();
   EXPECT_EQ(server.counters().submitted(),
             static_cast<uint64_t>(kRequests));
@@ -644,7 +645,7 @@ TEST(ModelServer, WriteAllSurvivesClosedPeer) {
   // And the happy path still delivers every byte across short writes.
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   const std::string body(65536, 'y');
-  std::thread reader([&] {
+  std::jthread reader([&] {
     std::string got;
     char buf[4096];
     ssize_t n;

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "tensor/check.h"
@@ -11,30 +12,48 @@
 namespace ripple {
 namespace {
 
+/// Non-owning LoopRef over a callable that outlives the parallel_run call.
+template <typename F>
+ThreadPool::LoopRef loop_ref(const F& body) {
+  return {[](const void* ctx, int64_t begin, int64_t end) {
+            (*static_cast<const F*>(ctx))(begin, end);
+          },
+          &body};
+}
+
 TEST(ThreadPool, SingleThreadRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 0);  // no workers spawned
-  int value = 0;
-  pool.enqueue([&value] { value = 42; });
-  EXPECT_EQ(value, 42);  // ran synchronously
+  const std::thread::id caller = std::this_thread::get_id();
+  int chunks = 0;
+  const auto body = [&](int64_t begin, int64_t end) {
+    ++chunks;
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(begin, 0);
+    EXPECT_EQ(end, 100);
+  };
+  pool.parallel_run(100, /*grain=*/1, loop_ref(body));
+  EXPECT_EQ(chunks, 1);  // one inline chunk despite grain 1
 }
 
-TEST(ThreadPool, MultiThreadRunsAllJobs) {
+TEST(ThreadPool, MultiThreadRunsEveryIndexOnce) {
   ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.enqueue([&counter] { ++counter; });
-  pool.wait_all();
-  EXPECT_EQ(counter.load(), 100);
+  std::vector<std::atomic<int>> hits(100);
+  const auto body = [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) ++hits[static_cast<size_t>(i)];
+  };
+  pool.parallel_run(100, /*grain=*/1, loop_ref(body));
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, WaitAllIsReusable) {
+TEST(ThreadPool, ParallelRunIsReusable) {
   ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.enqueue([&counter] { ++counter; });
-  pool.wait_all();
-  pool.enqueue([&counter] { ++counter; });
-  pool.wait_all();
-  EXPECT_EQ(counter.load(), 2);
+  std::atomic<int64_t> counter{0};
+  const auto body = [&](int64_t begin, int64_t end) { counter += end - begin; };
+  pool.parallel_run(64, /*grain=*/1, loop_ref(body));
+  EXPECT_EQ(counter.load(), 64);
+  pool.parallel_run(64, /*grain=*/1, loop_ref(body));
+  EXPECT_EQ(counter.load(), 128);
 }
 
 TEST(ThreadPool, ZeroThreadsThrows) {

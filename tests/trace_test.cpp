@@ -228,7 +228,7 @@ TEST_F(TracingTest, RingOverflowDropsAreCountedNotBlocking) {
 
   // A fresh thread gets a fresh ring at the configured capacity (existing
   // rings keep their size); the ring outlives the thread for export.
-  std::thread writer([&] {
+  std::jthread writer([&] {
     for (int i = 0; i < 100; ++i) {
       trace::TraceContextPtr ctx =
           t.begin_trace("overflow", trace::FinishLayer::kBatcher);
@@ -295,7 +295,7 @@ TEST_F(TracingTest, ConcurrentTracingAndExportHammer) {
   trace::Tracer& t = trace::Tracer::instance();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
-  std::vector<std::thread> writers;
+  std::vector<std::jthread> writers;
   writers.reserve(kThreads);
   for (int w = 0; w < kThreads; ++w) {
     writers.emplace_back([&t, w] {
