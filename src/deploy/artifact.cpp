@@ -79,6 +79,18 @@ Tensor read_tensor(std::istream& in, const std::string& path) {
   return t;
 }
 
+/// Reads an int32 enum field, rejecting values outside [0, last] so a
+/// corrupt or hand-edited file fails here instead of serving garbage.
+template <typename E>
+int32_t read_enum(std::istream& in, const std::string& path,
+                  const char* field, E last) {
+  const int32_t v = read_pod<int32_t>(in, path);
+  if (v < 0 || v > static_cast<int32_t>(last))
+    fail(path, std::string("corrupt ") + field + " value " +
+                   std::to_string(v));
+  return v;
+}
+
 void write_variant(std::ostream& out, const models::VariantConfig& v) {
   write_pod(out, static_cast<int32_t>(v.variant));
   write_pod(out, v.dropout_p);
@@ -94,14 +106,19 @@ void write_variant(std::ostream& out, const models::VariantConfig& v) {
 models::VariantConfig read_variant(std::istream& in,
                                    const std::string& path) {
   models::VariantConfig v;
-  v.variant = static_cast<models::Variant>(read_pod<int32_t>(in, path));
+  v.variant = static_cast<models::Variant>(
+      read_enum(in, path, "variant", models::Variant::kProposed));
   v.dropout_p = read_pod<float>(in, path);
-  v.init.kind = static_cast<core::AffineInit::Kind>(read_pod<int32_t>(in, path));
+  v.init.kind = static_cast<core::AffineInit::Kind>(
+      read_enum(in, path, "affine-init kind",
+                core::AffineInit::Kind::kConstant));
   v.init.sigma_gamma = read_pod<float>(in, path);
   v.init.sigma_beta = read_pod<float>(in, path);
   v.init.k_gamma = read_pod<float>(in, path);
   v.init.k_beta = read_pod<float>(in, path);
-  v.granularity = static_cast<core::DropGranularity>(read_pod<int32_t>(in, path));
+  v.granularity = static_cast<core::DropGranularity>(
+      read_enum(in, path, "drop granularity",
+                core::DropGranularity::kVectorWise));
   v.affine_first = read_pod<uint8_t>(in, path) != 0;
   return v;
 }
@@ -118,26 +135,33 @@ void write_session_options(std::ostream& out, const serve::SessionOptions& o,
   write_pod(out, o.batch_max_delay_us);
   write_pod(out, o.batch_max_rows);
   write_pod(out, static_cast<int32_t>(o.batcher_threads));
-  if (version >= 2)
-    write_pod(out, static_cast<uint8_t>(o.batch_adaptive_delay ? 1 : 0));
+  if (version >= 2) write_pod(out, uint8_t{0});  // retired adaptive byte
 }
 
 serve::SessionOptions read_session_options(std::istream& in,
                                            const std::string& path,
                                            uint32_t version) {
   serve::SessionOptions o;
-  o.task = static_cast<serve::TaskKind>(read_pod<int32_t>(in, path));
+  o.task = static_cast<serve::TaskKind>(
+      read_enum(in, path, "task", serve::TaskKind::kSegmentation));
   o.mc_samples = read_pod<int32_t>(in, path);
   o.seed = read_pod<uint64_t>(in, path);
-  o.policy = static_cast<serve::ExecutionPolicy>(read_pod<int32_t>(in, path));
+  // Stored policy 2 is the retired kAuto, which always resolved to
+  // kBatched; every default artifact written before its removal holds it.
+  constexpr int32_t kLegacyAutoPolicy = 2;
+  const int32_t policy = read_enum(in, path, "policy", kLegacyAutoPolicy);
+  o.policy = policy == kLegacyAutoPolicy
+                 ? serve::ExecutionPolicy::kBatched
+                 : static_cast<serve::ExecutionPolicy>(policy);
   o.max_batch = read_pod<int64_t>(in, path);
   o.clamp_samples = read_pod<uint8_t>(in, path) != 0;
   o.batch_max_requests = read_pod<int32_t>(in, path);
   o.batch_max_delay_us = read_pod<int64_t>(in, path);
   o.batch_max_rows = read_pod<int64_t>(in, path);
   o.batcher_threads = read_pod<int32_t>(in, path);
-  // Version 1 predates the adaptive-delay knob; keep its default (off).
-  if (version >= 2) o.batch_adaptive_delay = read_pod<uint8_t>(in, path) != 0;
+  // Versions >= 2 carry one byte for the retired batch_adaptive_delay
+  // knob; it is read past and ignored (the fixed delay always applies).
+  if (version >= 2) read_pod<uint8_t>(in, path);
   return o;
 }
 

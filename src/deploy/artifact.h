@@ -33,8 +33,9 @@
 namespace ripple::deploy {
 
 /// Version 2 bit-packs the quantizer integer codes (version 1 spent an
-/// int32 per code — 32× the bits a binary weight needs) and carries the
-/// batch_adaptive_delay serving knob. Version 3 turns the file into a
+/// int32 per code — 32× the bits a binary weight needs) and adds one
+/// serving-options byte, since retired: writers fill it with 0 and
+/// readers ignore it. Version 3 turns the file into a
 /// *multi-model manifest* — named entries, each a complete
 /// spec+tensors+calibration block with a routing weight, so one file ships
 /// an ensemble or an A/B pair (serve::ModelServer routes between entries

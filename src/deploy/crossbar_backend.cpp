@@ -120,7 +120,7 @@ bool CrossbarBackend::linear(const Tensor& x, const Tensor& w,
   // [N, Fout], analog signal chain.
   ta->matvec_into(x.data(), n, out.data(), analog_scratch().matvec);
   if (bias != nullptr) {
-    // Digital bias addition, post-ADC (imc/crossbar_linear.h semantics).
+    // Digital bias addition, post-ADC.
     float* po = out.data();
     for (int64_t i = 0; i < n; ++i)
       for (int64_t j = 0; j < fout; ++j) po[i * fout + j] += bias[j];

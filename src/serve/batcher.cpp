@@ -32,50 +32,16 @@ AsyncBatcher::AsyncBatcher(const InferenceSession& session)
       max_batch_(session.options().batch_max_requests),
       max_rows_(std::max<int64_t>(0, session.options().batch_max_rows)),
       max_delay_(std::max<int64_t>(0, session.options().batch_max_delay_us)),
-      adaptive_delay_(session.options().batch_adaptive_delay),
       worker_count_(static_cast<size_t>(
           std::max(1, session.options().batcher_threads))) {
   RIPPLE_CHECK(max_batch_ >= 1)
       << "AsyncBatcher needs batch_max_requests >= 1";
-  counters_.on_effective_delay(max_delay_.count());
   workers_.reserve(worker_count_);
   for (size_t i = 0; i < worker_count_; ++i)
     workers_.emplace_back([this] { worker_loop(); });
 }
 
 AsyncBatcher::~AsyncBatcher() { close(); }
-
-std::chrono::microseconds AsyncBatcher::effective_delay(
-    std::chrono::steady_clock::time_point now) {
-  if (!adaptive_delay_) return max_delay_;
-  std::chrono::microseconds delay = max_delay_;
-  if (have_last_submit_) {
-    constexpr double kAlpha = 0.2;  // EWMA smoothing of inter-arrival time
-    // An idle gap longer than the configured cap carries no rate
-    // information (any batch would have dispatched long before): clamp it
-    // so one quiet period cannot pin the estimate high for dozens of
-    // subsequent arrivals.
-    const double dt_us = std::min(
-        std::chrono::duration<double, std::micro>(now - last_submit_).count(),
-        static_cast<double>(max_delay_.count()));
-    ewma_interarrival_us_ = ewma_interarrival_us_ <= 0.0
-                                ? dt_us
-                                : (1.0 - kAlpha) * ewma_interarrival_us_ +
-                                      kAlpha * dt_us;
-    // Waiting longer than the estimated batch fill time buys nothing: at
-    // the observed rate the count trigger fires first; past a burst the
-    // stragglers stop waiting for peers that are not coming.
-    const double fill_us =
-        ewma_interarrival_us_ * static_cast<double>(max_batch_ - 1);
-    delay = std::min(
-        max_delay_,
-        std::chrono::microseconds(std::llround(std::max(0.0, fill_us))));
-  }
-  last_submit_ = now;
-  have_last_submit_ = true;
-  counters_.on_effective_delay(delay.count());
-  return delay;
-}
 
 std::future<Prediction> AsyncBatcher::submit(Tensor input) {
   return enqueue(std::move(input),
@@ -125,8 +91,7 @@ std::future<Prediction> AsyncBatcher::enqueue(
     // request must surface as a prompt typed failure, not sit out the
     // coalescing delay first.
     queue_.push_back(Pending{std::move(input), std::move(promise),
-                             std::min(now + effective_delay(now),
-                                      hard_deadline),
+                             std::min(now + max_delay_, hard_deadline),
                              now, hard_deadline, std::move(tctx)});
     counters_.on_submit();
   }
@@ -397,9 +362,9 @@ void AsyncBatcher::worker_loop() {
       // Copy the deadline out: wait_until holds it by reference across the
       // unlocked wait, and another worker may dispatch (and free) the
       // front entry meanwhile. The whole queue is scanned for the earliest
-      // dispatch deadline: adaptive delays and per-request hard deadlines
-      // both break the front-is-oldest-deadline invariant — a later
-      // arrival may carry a shorter deadline than the front.
+      // dispatch deadline: per-request hard deadlines break the
+      // front-is-oldest-deadline invariant — a later arrival may carry a
+      // shorter deadline than the front.
       std::chrono::steady_clock::time_point deadline =
           queue_.front().deadline;
       for (const Pending& p : queue_)

@@ -9,8 +9,9 @@
 //
 //   • a batch goes out as soon as `batch_max_requests` requests are
 //     queued, or
-//   • when the oldest queued request's deadline (enqueue time +
-//     `batch_max_delay_us`) expires, whichever comes first;
+//   • when the earliest queued dispatch trigger — min(enqueue time +
+//     `batch_max_delay_us`, the request's hard deadline) — passes,
+//     whichever comes first;
 //   • close() drains: everything already queued is dispatched immediately
 //     (deadlines ignored), then the workers join. submit() after close()
 //     throws — requests are never silently dropped.
@@ -33,15 +34,6 @@
 // forward throws, the batch is retried request-by-request so the
 // exception reaches only the offending request's future — batchmates
 // still complete.
-//
-// With `batch_adaptive_delay` on, the coalescing delay *adapts* to the
-// observed traffic: an EWMA of the submit inter-arrival time estimates how
-// long filling batch_max_requests will take, and each request's deadline
-// uses min(batch_max_delay_us, estimate · (batch_max_requests − 1)) — so
-// the straggler batch after a burst stops waiting the full configured
-// delay for requests that are not coming. batch_max_delay_us remains the
-// hard upper bound; BatcherCounters::effective_delay_us gauges the delay
-// most recently applied.
 //
 // Mixed-*size* traffic sizes batches in rows, not just requests: with
 // `batch_max_rows` set, a batch also dispatches once the queued rows reach
@@ -147,8 +139,6 @@ class AsyncBatcher {
   /// Rows bound per dispatched batch (0 = unbounded, requests-only sizing).
   int64_t max_rows() const { return max_rows_; }
   int64_t max_delay_us() const { return max_delay_.count(); }
-  /// Whether the coalescing delay tracks the observed arrival rate.
-  bool adaptive_delay() const { return adaptive_delay_; }
   int workers() const { return static_cast<int>(worker_count_); }
 
  private:
@@ -188,26 +178,16 @@ class AsyncBatcher {
   /// Runs one dispatched group and fulfills its promises. No locks held.
   void run_batch(std::vector<Pending>& batch);
 
-  /// Coalescing delay for a request submitted now (EWMA-adapted when
-  /// enabled, else the configured max). Caller holds mutex_.
-  std::chrono::microseconds effective_delay(
-      std::chrono::steady_clock::time_point now);
-
   const InferenceSession& session_;
   const int64_t max_batch_;
   const int64_t max_rows_;
   const std::chrono::microseconds max_delay_;
-  const bool adaptive_delay_;
   const size_t worker_count_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   int64_t queued_rows_ = 0;  // rows across queue_, guarded by mutex_
-  // Arrival-rate tracking (batch_adaptive_delay), guarded by mutex_.
-  std::chrono::steady_clock::time_point last_submit_{};
-  bool have_last_submit_ = false;
-  double ewma_interarrival_us_ = 0.0;
   bool closed_ = false;
   std::vector<std::thread> workers_;
   std::mutex join_mutex_;  // serializes concurrent close() calls

@@ -43,10 +43,8 @@ ClusterController::ClusterController(const std::string& artifact_path,
   for (int i = 0; i < options_.replicas; ++i) {
     deploy::DeployOptions per = options_.deploy;
     SessionOptions session_options = base;
-    if (options_.per_replica_seeds) {
-      session_options.seed = base.seed + static_cast<uint64_t>(i);
-      per.crossbar.seed += static_cast<uint64_t>(i);
-    }
+    session_options.seed = base.seed + static_cast<uint64_t>(i);
+    per.crossbar.seed += static_cast<uint64_t>(i);
     per.session = session_options;
     auto session = i + 1 < options_.replicas
                        ? InferenceSession::open(deploy::replicate(master), per)
@@ -172,7 +170,7 @@ RoutingDecision ClusterController::route(int exclude) const {
 
 void ClusterController::dispatcher_loop() {
   std::vector<Task> chunk;
-  std::vector<FirstAttempt> first;
+  std::vector<Attempt> first;
   for (;;) {
     chunk.clear();
     {
@@ -187,20 +185,23 @@ void ClusterController::dispatcher_loop() {
         queue_.pop_front();
       }
     }
-    if (chunk.size() == 1) {
-      serve_task(chunk[0]);
-      continue;
-    }
-    // Prime every first attempt before awaiting any result: the chunk
+    // Start every first attempt before awaiting any result: the chunk
     // coalesces into the replicas' batches together, and by the time the
     // collect pass reaches task i its future is usually already resolved.
     first.clear();
     first.resize(chunk.size());
     for (size_t i = 0; i < chunk.size(); ++i) {
-      prime_attempt(chunk[i], first[i]);
+      if (chunk[i].trace) {
+        // Cluster-level queue wait (detail 1 distinguishes it from a
+        // batcher's queue-wait span on the same timeline).
+        trace::Tracer::instance().record_span(
+            chunk[i].trace, trace::Stage::kQueueWait, chunk[i].enqueue,
+            Clock::now(), 1);
+      }
+      start_attempt(chunk[i], /*attempt=*/0, /*exclude=*/-1, first[i]);
     }
     for (size_t i = 0; i < chunk.size(); ++i) {
-      serve_task(chunk[i], &first[i]);
+      serve_task(chunk[i], first[i]);
     }
   }
 }
@@ -221,50 +222,48 @@ Clock::time_point ClusterController::attempt_deadline_for(
   return attempt_deadline;
 }
 
-void ClusterController::prime_attempt(Task& task, FirstAttempt& fa) {
+void ClusterController::start_attempt(Task& task, int attempt, int exclude,
+                                      Attempt& a) {
   const auto now = Clock::now();
-  fa.start = now;
-  if (task.trace) {
-    // Cluster-level queue wait (detail 1 distinguishes it from a batcher's
-    // queue-wait span on the same timeline).
-    trace::Tracer::instance().record_span(
-        task.trace, trace::Stage::kQueueWait, task.enqueue, now, 1);
-  }
+  a = Attempt{};
+  a.start = now;
   if (task.deadline != kNoDeadline && now >= task.deadline) {
-    fa.expired = true;
+    a.expired = true;
     return;
   }
-  fa.decision = route();
-  if (fa.decision.replica < 0) return;
-  fa.attempt_deadline = attempt_deadline_for(task, now, /*attempt=*/0);
+  a.decision = route(exclude);
+  if (a.decision.replica < 0) return;
+  // Per-attempt deadline: a stalled replica costs one attempt, not the
+  // whole deadline.
+  a.deadline = attempt_deadline_for(task, now, attempt);
   const auto budget =
-      fa.attempt_deadline == kNoDeadline
+      a.deadline == kNoDeadline
           ? std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::hours(24 * 365))
-          : std::chrono::microseconds(us_between(now, fa.attempt_deadline));
-  Replica& replica = *fleet_[fa.decision.replica];
+          : std::chrono::microseconds(us_between(now, a.deadline));
+  Replica& replica = *fleet_[a.decision.replica];
   replica.begin_attempt();
   try {
-    fa.outcome = replica.submit(task.input, budget, task.trace);
-    fa.dispatched = true;
+    a.outcome = replica.submit(task.input, budget, task.trace);
+    a.dispatched = true;
     if (task.trace) {
       trace::Tracer::instance().record_span(
           task.trace, trace::Stage::kDispatch, now, Clock::now(),
-          static_cast<uint32_t>(fa.decision.replica));
+          static_cast<uint32_t>(a.decision.replica));
     }
   } catch (...) {
-    // Replica closed between route() and submit() — the collect pass
-    // treats it as a failed attempt and re-routes.
+    // Replica closed between route() and submit() — serve_task treats it
+    // as a failed attempt and re-routes.
   }
 }
 
-void ClusterController::serve_task(Task& task, FirstAttempt* first) {
-  if (first == nullptr && task.trace) {
-    trace::Tracer::instance().record_span(
-        task.trace, trace::Stage::kQueueWait, task.enqueue, Clock::now(), 1);
-  }
+void ClusterController::serve_task(Task& task, Attempt& a) {
   const auto resolve_latency = [&] {
     counters_.latency().record(us_between(task.enqueue, Clock::now()));
+  };
+  const auto finish_trace = [&] {
+    trace::Tracer::instance().finish_if(task.trace,
+                                        trace::FinishLayer::kCluster);
   };
   const auto fail = [&](Status status, const std::string& what) {
     if (status == Status::kTimeout) {
@@ -275,8 +274,7 @@ void ClusterController::serve_task(Task& task, FirstAttempt* first) {
     resolve_latency();
     task.promise.set_exception(
         std::make_exception_ptr(ServeError(status, what)));
-    trace::Tracer::instance().finish_if(task.trace,
-                                        trace::FinishLayer::kCluster);
+    finish_trace();
   };
   const auto backoff_sleep = [&](int64_t backoff_us) {
     auto wait = std::chrono::microseconds(backoff_us);
@@ -295,67 +293,21 @@ void ClusterController::serve_task(Task& task, FirstAttempt* first) {
   bool last_attempt_timed_out = false;
   int last_failed_replica = -1;
   for (;;) {
-    auto now = Clock::now();
-    RoutingDecision d;
-    std::future<Prediction> outcome;
-    bool dispatched = false;
-    auto attempt_deadline = kNoDeadline;
-
-    if (first != nullptr) {
-      // Attempt 0 was primed (routed + submitted) by the chunked
-      // dispatcher; consume it instead of routing a fresh one.
-      FirstAttempt fa = std::move(*first);
-      first = nullptr;
-      if (fa.expired) {
-        fail(Status::kTimeout, "deadline expired after 0 attempt(s)");
-        return;
-      }
-      now = fa.start;
-      d = fa.decision;
-      outcome = std::move(fa.outcome);
-      dispatched = fa.dispatched;
-      attempt_deadline = fa.attempt_deadline;
-    } else {
-      if (task.deadline != kNoDeadline && now >= task.deadline) {
-        fail(Status::kTimeout, "deadline expired after " +
-                                   std::to_string(attempt) + " attempt(s)");
-        return;
-      }
-      d = route(last_failed_replica);
-      if (d.replica >= 0) {
-        // Per-attempt deadline: a stalled replica costs one attempt, not
-        // the whole deadline.
-        attempt_deadline = attempt_deadline_for(task, now, attempt);
-        const auto budget =
-            attempt_deadline == kNoDeadline
-                ? std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::hours(24 * 365))
-                : std::chrono::microseconds(
-                      us_between(now, attempt_deadline));
-        fleet_[d.replica]->begin_attempt();
-        try {
-          outcome = fleet_[d.replica]->submit(task.input, budget, task.trace);
-          dispatched = true;
-          if (task.trace) {
-            trace::Tracer::instance().record_span(
-                task.trace, trace::Stage::kDispatch, now, Clock::now(),
-                static_cast<uint32_t>(d.replica));
-          }
-        } catch (...) {
-          // Replica closed between route() and submit() — treat as a
-          // failed attempt and re-route.
-        }
-      }
+    if (a.expired) {
+      fail(Status::kTimeout, "deadline expired after " +
+                                 std::to_string(attempt) + " attempt(s)");
+      return;
     }
-
-    if (d.replica < 0) {
+    const int routed = a.decision.replica;
+    if (routed < 0) {
       // Nothing routable this instant; back off and let the fleet heal
       // (or the deadline fire) instead of burning the attempt budget.
       ++attempt;
       if (attempt >= options_.max_attempts) {
         // kOverloaded: routable replicas existed but stayed saturated the
         // whole attempt budget; kReplicaDown: the fleet was quarantined.
-        fail(d.verdict == Status::kOk ? Status::kReplicaDown : d.verdict,
+        fail(a.decision.verdict == Status::kOk ? Status::kReplicaDown
+                                               : a.decision.verdict,
              "no routable replica after " + std::to_string(attempt) +
                  " attempt(s)");
         return;
@@ -363,25 +315,26 @@ void ClusterController::serve_task(Task& task, FirstAttempt* first) {
       counters_.on_retry();
       backoff_sleep(backoff);
       backoff = std::min(backoff * 2, options_.max_backoff_us);
+      start_attempt(task, attempt, last_failed_replica, a);
       continue;
     }
-    Replica& replica = *fleet_[d.replica];
+    Replica& replica = *fleet_[routed];
     bool ready = false;
-    if (dispatched) {
-      if (attempt_deadline == kNoDeadline) {
-        outcome.wait();
+    if (a.dispatched) {
+      if (a.deadline == kNoDeadline) {
+        a.outcome.wait();
         ready = true;
       } else {
-        ready = outcome.wait_until(attempt_deadline) ==
-                std::future_status::ready;
+        ready = a.outcome.wait_until(a.deadline) == std::future_status::ready;
       }
     }
 
     if (ready) {
       try {
-        Prediction prediction = outcome.get();
+        Prediction prediction = a.outcome.get();
         replica.end_attempt();
-        replica.on_success(static_cast<double>(us_between(now, Clock::now())));
+        replica.on_success(
+            static_cast<double>(us_between(a.start, Clock::now())));
         // Refresh the probe canary opportunistically: skipping a refresh
         // under contention is harmless (any recent good input works), and
         // a per-success contended lock is not.
@@ -398,24 +351,34 @@ void ClusterController::serve_task(Task& task, FirstAttempt* first) {
           trace::Tracer::instance().record_span(task.trace,
                                                 trace::Stage::kResolve,
                                                 resolve_start, Clock::now());
-          trace::Tracer::instance().finish_if(task.trace,
-                                              trace::FinishLayer::kCluster);
+          finish_trace();
         }
+        return;
+      } catch (const CheckError&) {
+        // A precondition violation (wrong shape, wrong task kind) is the
+        // request's fault, not the replica's: any replica would reject it
+        // the same way. Deliver it unchanged, without a retry and without
+        // touching the replica's health.
+        replica.end_attempt();
+        counters_.on_failure();
+        resolve_latency();
+        task.promise.set_exception(std::current_exception());
+        finish_trace();
         return;
       } catch (...) {
         replica.end_attempt();
         replica.on_failure(/*timed_out=*/false);
         last_attempt_timed_out = false;
-        last_failed_replica = d.replica;
+        last_failed_replica = routed;
       }
     } else {
       // Attempt abandoned at its deadline (or never dispatched — replica
       // closed under us): the future is discarded (a late result resolves
       // dead shared state, harmlessly) and the request re-routes.
       replica.end_attempt();
-      replica.on_failure(/*timed_out=*/dispatched);
-      last_attempt_timed_out = dispatched;
-      last_failed_replica = d.replica;
+      replica.on_failure(/*timed_out=*/a.dispatched);
+      last_attempt_timed_out = a.dispatched;
+      last_failed_replica = routed;
     }
 
     ++attempt;
@@ -433,6 +396,7 @@ void ClusterController::serve_task(Task& task, FirstAttempt* first) {
     counters_.on_retry();
     backoff_sleep(backoff);
     backoff = std::min(backoff * 2, options_.max_backoff_us);
+    start_attempt(task, attempt, last_failed_replica, a);
   }
 }
 

@@ -27,7 +27,10 @@
 //     replica, up to max_attempts within the request's deadline. The
 //     failure feedback drives the replica health machine (replica.h), so
 //     a crashing replica quarantines itself out of the pool after a few
-//     requests instead of eating every retry.
+//     requests instead of eating every retry. A CheckError (the request
+//     broke a session precondition — wrong shape, wrong task kind) is the
+//     request's fault, not the replica's: it reaches the caller's future
+//     unchanged, is not retried and leaves replica health untouched.
 //
 //   • Admission control sheds load instead of collapsing: when the
 //     controller queue is full, or every routable replica is saturated
@@ -76,23 +79,22 @@ struct ClusterOptions {
   /// Fleet size (≥ 1).
   int replicas = 2;
   /// How each replica opens the artifact (backend, session overrides,
-  /// crossbar fault knobs). With per_replica_seeds, replica i serves under
-  /// session seed base+i and crossbar seed base+i — the fleet is a
-  /// Monte-Carlo ensemble of differently-faulted chip instances, matching
-  /// the paper's chip-to-chip variation model.
+  /// crossbar fault knobs). Replica i serves under session seed base+i and
+  /// crossbar seed base+i — the fleet is a Monte-Carlo ensemble of
+  /// differently-faulted chip instances, matching the paper's
+  /// chip-to-chip variation model.
   deploy::DeployOptions deploy;
-  bool per_replica_seeds = true;
 
   /// Dispatcher threads; each owns one accepted request end-to-end, so
   /// dispatch_threads × dispatch_chunk bounds cluster-level concurrency
   /// (queued requests wait for a free dispatcher).
   int dispatch_threads = 4;
   /// Tasks a dispatcher pops per wakeup. The chunk's first attempts are
-  /// all routed and submitted before any result is awaited, so chunk
-  /// members coalesce into the same replica batches and the dispatcher
-  /// pays one queue wakeup (and usually one future wait) per chunk
-  /// instead of per request. 1 = classic one-task-per-wakeup dispatch.
-  /// Retries still happen one task at a time during the collect pass.
+  /// all started (routed and submitted) before any result is awaited, so
+  /// chunk members coalesce into the same replica batches and the
+  /// dispatcher pays one queue wakeup (and usually one future wait) per
+  /// chunk instead of per request. 1 = one task per wakeup. Retries
+  /// happen one task at a time during the collect pass.
   int dispatch_chunk = 8;
 
   /// Per-request deadline when submit() is called without one (0 = none).
@@ -156,7 +158,8 @@ class ClusterCounters {
   /// Rejected at admission with kOverloaded (their futures still resolve).
   uint64_t shed() const { return shed_.load(relaxed); }
   uint64_t succeeded() const { return succeeded_.load(relaxed); }
-  /// Resolved with kReplicaDown (attempts exhausted on failures).
+  /// Resolved with kReplicaDown / kOverloaded (attempts exhausted), or
+  /// with the request's own CheckError (bad input, never retried).
   uint64_t failed() const { return failed_.load(relaxed); }
   /// Resolved with kTimeout (deadline expired or attempts timed out).
   uint64_t timeouts() const { return timeouts_.load(relaxed); }
@@ -250,26 +253,26 @@ class ClusterController {
     trace::TraceContextPtr trace;
   };
 
-  /// A first attempt primed (routed + submitted, not yet awaited) by the
-  /// chunked dispatcher; serve_task() consumes it as attempt 0 instead of
-  /// routing one itself.
-  struct FirstAttempt {
+  /// One started attempt: routed and submitted, not yet awaited.
+  struct Attempt {
     std::future<Prediction> outcome;
     RoutingDecision decision;  // decision.replica == -1 ⇒ nothing routable
     bool dispatched = false;
-    bool expired = false;  // deadline had already passed at prime time
+    bool expired = false;  // the request's deadline had passed at start
     std::chrono::steady_clock::time_point start;
-    std::chrono::steady_clock::time_point attempt_deadline;
+    std::chrono::steady_clock::time_point deadline;  // attempt deadline
   };
 
   void dispatcher_loop();
   void heartbeat_loop();
-  /// The retry/backoff state machine for one accepted request. Resolves
-  /// task.promise exactly once. When `first` is non-null its primed
-  /// attempt is consumed before any re-routing happens.
-  void serve_task(Task& task, FirstAttempt* first = nullptr);
-  /// Route + submit attempt 0 of `task` without blocking on the result.
-  void prime_attempt(Task& task, FirstAttempt& fa);
+  /// The one attempt-submission routine: deadline check, route (avoiding
+  /// `exclude`), attempt budget, begin_attempt, Replica::submit and the
+  /// dispatch span. Never blocks on the result.
+  void start_attempt(Task& task, int attempt, int exclude, Attempt& a);
+  /// The retry/backoff state machine for one accepted request, starting
+  /// from its already-started first attempt `a`. Resolves task.promise
+  /// exactly once.
+  void serve_task(Task& task, Attempt& a);
   /// Attempt deadline: the configured per-attempt budget, or an even
   /// split of the remaining deadline across the remaining attempts.
   std::chrono::steady_clock::time_point attempt_deadline_for(

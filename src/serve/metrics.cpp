@@ -246,10 +246,6 @@ void BatcherCounters::on_expire(size_t requests) {
   queue_depth_.fetch_sub(static_cast<int64_t>(requests), relaxed);
 }
 
-void BatcherCounters::on_effective_delay(int64_t us) {
-  effective_delay_us_.store(us, relaxed);
-}
-
 double BatcherCounters::mean_batch_requests() const {
   const uint64_t batches = batches_.load(relaxed);
   if (batches == 0) return 0.0;

@@ -175,7 +175,6 @@ class BatcherCounters {
   /// nothing else; the caller still reports on_timeout/on_complete per
   /// request once the futures are failed.
   void on_expire(size_t requests);
-  void on_effective_delay(int64_t us);
 
   uint64_t submitted() const { return submitted_.load(relaxed); }
   uint64_t rejected() const { return rejected_.load(relaxed); }
@@ -200,10 +199,6 @@ class BatcherCounters {
   /// already expired when a worker dispatched them (serve/batcher.h).
   /// Timeouts count in completed() too — the future was fulfilled.
   uint64_t timeouts() const { return timeouts_.load(relaxed); }
-  /// Gauge: the coalescing delay most recently applied to a submitted
-  /// request — the configured batch_max_delay_us, or the EWMA-tracked
-  /// effective delay when batch_adaptive_delay is on (serve/batcher.h).
-  int64_t effective_delay_us() const { return effective_delay_us_.load(relaxed); }
 
   /// Submit-to-completion latency of every fulfilled request (values and
   /// typed failures alike).
@@ -237,7 +232,6 @@ class BatcherCounters {
   std::atomic<uint64_t> max_batch_{0};
   std::atomic<uint64_t> max_rows_{0};
   std::atomic<uint64_t> dispatched_rows_{0};
-  std::atomic<int64_t> effective_delay_us_{0};
   std::atomic<uint64_t> timeouts_{0};
   std::array<std::atomic<uint64_t>, kHistogramBuckets> histogram_{};
   LatencyHistogram latency_;

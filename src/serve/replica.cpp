@@ -7,6 +7,13 @@
 
 namespace ripple::serve {
 
+namespace {
+
+/// EWMA smoothing factor of the per-replica latency estimate.
+constexpr double kLatencyAlpha = 0.2;
+
+}  // namespace
+
 const char* health_state_name(HealthState state) {
   switch (state) {
     case HealthState::kHealthy:
@@ -133,8 +140,8 @@ void Replica::on_success(double latency_us) {
   consecutive_failures_ = 0;
   ewma_latency_us_ = ewma_latency_us_ <= 0.0
                          ? latency_us
-                         : (1.0 - policy_.latency_alpha) * ewma_latency_us_ +
-                               policy_.latency_alpha * latency_us;
+                         : (1.0 - kLatencyAlpha) * ewma_latency_us_ +
+                               kLatencyAlpha * latency_us;
   if (state_ == HealthState::kDegraded) state_ = HealthState::kHealthy;
 }
 

@@ -63,8 +63,6 @@ struct HealthPolicy {
   /// Consecutive successful probes a Quarantined replica needs to return
   /// to Healthy.
   int probe_successes = 2;
-  /// EWMA smoothing factor of the per-replica latency estimate.
-  double latency_alpha = 0.2;
 };
 
 /// Snapshot of one replica — what heartbeats publish and RoutingDecisions

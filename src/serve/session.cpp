@@ -264,9 +264,6 @@ InferenceSession::InferenceSession(models::TaskModel& model,
   samples_ = options_.clamp_samples
                  ? models::mc_samples_for(model_.variant(), options_.mc_samples)
                  : options_.mc_samples;
-  policy_ = options_.policy == ExecutionPolicy::kAuto
-                ? ExecutionPolicy::kBatched
-                : options_.policy;
   chunk_rows_ = std::max<int64_t>(1, options_.max_batch / samples_);
 
   // Freeze the model's serving state: eval statistics, MC sampling on, and
@@ -357,7 +354,7 @@ void InferenceSession::invalidate_packed_weights() const {
 Tensor InferenceSession::run_chunk(const Tensor& xc,
                                    int64_t chunk_offset) const {
   const int64_t t = samples_;
-  if (policy_ == ExecutionPolicy::kSerial && t > 1) {
+  if (options_.policy == ExecutionPolicy::kSerial && t > 1) {
     core::McStreamContext ctx(options_.seed, /*replicas=*/1,
                               /*replica_offset=*/0, stream_slots_);
     ctx.set_chunk_offset(chunk_offset);
@@ -665,7 +662,7 @@ void InferenceSession::predict_into(const Tensor& x, Prediction& out) const {
       << shape_to_string(x.shape());
   const int64_t n = x.dim(0);
   if (options_.compile && model_.deployed() && n <= chunk_rows_ &&
-      !(policy_ == ExecutionPolicy::kSerial && samples_ > 1)) {
+      !(options_.policy == ExecutionPolicy::kSerial && samples_ > 1)) {
     PlanCache::EntryPtr e = plans_->find(x.shape(), /*chunk_offset=*/0);
     if (e != nullptr &&
         e->state.load(std::memory_order_acquire) == PlanCacheEntry::kReady &&
@@ -759,7 +756,7 @@ PlanInfo InferenceSession::precompile(const Shape& input_shape) const {
     info.fallback_reason = "compilation disabled (SessionOptions::compile)";
     return info;
   }
-  if (policy_ == ExecutionPolicy::kSerial && samples_ > 1) {
+  if (options_.policy == ExecutionPolicy::kSerial && samples_ > 1) {
     info.fallback_reason = "serial execution policy serves from the graph";
     return info;
   }

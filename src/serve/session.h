@@ -68,9 +68,7 @@ const char* task_kind_name(TaskKind kind);
 ///              pass, per-replica masks (fast path, see fault/mc_batch.h).
 ///   kSerial  — T separate passes under the same mask streams; the
 ///              reference path (agrees with kBatched to float rounding).
-///   kAuto    — currently kBatched; the knob exists so deployments can pin
-///              the reference path without an API change.
-enum class ExecutionPolicy { kBatched, kSerial, kAuto };
+enum class ExecutionPolicy { kBatched, kSerial };
 
 struct SessionOptions {
   TaskKind task = TaskKind::kClassification;
@@ -80,7 +78,7 @@ struct SessionOptions {
   /// Base seed of the deterministic per-layer mask streams. Fixed per
   /// session: the same input always yields the same prediction.
   uint64_t seed = 0x5eedf00dull;
-  ExecutionPolicy policy = ExecutionPolicy::kAuto;
+  ExecutionPolicy policy = ExecutionPolicy::kBatched;
   /// Upper bound on stacked rows (T·n) per forward pass; larger requests
   /// are split into input chunks of max(1, max_batch / T) rows. Both
   /// policies chunk identically so they sample identical masks. Chunking
@@ -108,14 +106,6 @@ struct SessionOptions {
   /// deadline). 0 dispatches immediately (no coalescing beyond what is
   /// already queued when a worker wakes).
   int64_t batch_max_delay_us = 1000;
-  /// Adapt the coalescing delay to the observed request rate: an EWMA of
-  /// the submit inter-arrival time estimates how long filling a batch
-  /// will take, and each request's deadline uses
-  /// min(batch_max_delay_us, estimate · (batch_max_requests − 1)) — so
-  /// when a burst ends, the straggler batch stops waiting the full
-  /// configured delay for requests that are not coming.
-  /// batch_max_delay_us stays the hard upper bound.
-  bool batch_adaptive_delay = false;
   /// Rows-based sizing for mixed-size traffic: a batch also dispatches
   /// once the queued same-shape rows reach this bound, and coalescing
   /// stops adding requests that would push the dispatched rows past it
@@ -284,8 +274,6 @@ class InferenceSession {
   double modeled_analog_us_per_row() const;
   /// Effective stochastic samples T (after deterministic clamping).
   int samples() const { return samples_; }
-  /// Resolved execution policy (kAuto → kBatched).
-  ExecutionPolicy policy() const { return policy_; }
   /// Input rows per forward chunk: max(1, max_batch / T).
   int64_t chunk_rows() const { return chunk_rows_; }
 
@@ -343,7 +331,6 @@ class InferenceSession {
   models::TaskModel& model_;
   SessionOptions options_;
   int samples_ = 1;
-  ExecutionPolicy policy_ = ExecutionPolicy::kBatched;
   int64_t chunk_rows_ = 1;
   size_t stream_slots_ = 0;
   std::vector<core::InvertedNorm*> inverted_;

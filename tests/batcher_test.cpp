@@ -516,52 +516,17 @@ TEST(BatcherRows, OversizedRequestDispatchesAlone) {
   EXPECT_GE(batcher.counters().batches(), 2u);
 }
 
-// ---- adaptive coalescing delay ---------------------------------------------
-// batch_adaptive_delay tracks the observed inter-arrival rate with an
-// EWMA. The assertions stay wall-clock independent: results are still
-// bit-exact (delay only shapes which batches form), the effective delay
-// never exceeds the configured maximum, and the gauge reports it.
-
-TEST(BatcherAdaptive, FastArrivalsShrinkTheEffectiveDelay) {
-  models::LstmForecaster model({.hidden = 8, .window = 8}, proposed());
-  SessionOptions opts = batcher_options(TaskKind::kRegression, 3, 81,
-                                        /*max_requests=*/4,
-                                        /*max_delay_us=*/30'000'000,
-                                        /*threads=*/1);
-  opts.batch_adaptive_delay = true;
-  InferenceSession session(model, opts);
-  AsyncBatcher batcher(session);
-  EXPECT_TRUE(batcher.adaptive_delay());
-
-  Rng rng(14);
-  Tensor x = Tensor::randn({1, 8, 1}, rng);
-  const Prediction oracle = session.predict(x);
-  std::vector<std::future<Prediction>> futures;
-  // A tight submission burst: inter-arrival is loop overhead, far below
-  // the 30 s configured cap — so filling a 4-batch is estimated to take
-  // microseconds and the straggler batch will not wait the full cap
-  // (which is what lets this test terminate promptly at all: 10 requests
-  // leave a 2-request straggler whose deadline the EWMA shortened).
-  for (int i = 0; i < 10; ++i) futures.push_back(batcher.submit(x));
-  for (auto& f : futures) EXPECT_TRUE(predictions_equal(f.get(), oracle));
-  const int64_t effective = batcher.counters().effective_delay_us();
-  EXPECT_GE(effective, 0);
-  EXPECT_LT(effective, 30'000'000);
-  batcher.close();
-  EXPECT_EQ(batcher.counters().completed(), 10u);
-}
-
-TEST(BatcherAdaptive, ShortAdaptedDeadlineBehindLongFrontIsHonored) {
-  // The first request after startup has no rate history and carries the
-  // full configured deadline; a fast follower's adapted deadline is much
-  // shorter. The worker must honor the *earliest* queued deadline — not
-  // just the front's — or both requests would sit out the long one.
+TEST(BatcherDeadline, ShortHardDeadlineBehindLongFrontIsHonored) {
+  // The front request has no hard deadline and sits under a 10 s
+  // coalescing delay; a follower carries a 50 ms hard deadline. The worker
+  // must wake on the *earliest* queued dispatch trigger — not just the
+  // front's — or the follower would sit out the front's 10 s before
+  // failing.
   models::LstmForecaster model({.hidden = 8, .window = 8}, proposed());
   SessionOptions opts = batcher_options(TaskKind::kRegression, 3, 83,
                                         /*max_requests=*/8,
                                         /*max_delay_us=*/10'000'000,
                                         /*threads=*/1);
-  opts.batch_adaptive_delay = true;
   InferenceSession session(model, opts);
   AsyncBatcher batcher(session);
   Rng rng(16);
@@ -569,31 +534,22 @@ TEST(BatcherAdaptive, ShortAdaptedDeadlineBehindLongFrontIsHonored) {
   const Prediction oracle = session.predict(x);
 
   const auto start = std::chrono::steady_clock::now();
-  auto f1 = batcher.submit(x);  // deadline = now + 10 s (no history)
-  auto f2 = batcher.submit(x);  // adapted deadline: microseconds out
-  EXPECT_TRUE(predictions_equal(f1.get(), oracle));
-  EXPECT_TRUE(predictions_equal(f2.get(), oracle));
+  auto f1 = batcher.submit(x);  // dispatch trigger: now + 10 s
+  auto f2 = batcher.submit(x, std::chrono::milliseconds(50));
+  try {
+    f2.get();
+    FAIL() << "the follower must fail with kTimeout";
+  } catch (const serve::ServeError& e) {
+    EXPECT_EQ(e.status(), serve::Status::kTimeout);
+  }
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  // Far below the 10 s front deadline (generous bound for loaded CI).
+  // Far below the 10 s front trigger (generous bound for loaded CI).
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
             5);
+  EXPECT_TRUE(predictions_equal(f1.get(), oracle));
   batcher.close();
-}
-
-TEST(BatcherAdaptive, GaugeReportsConfiguredMaxWhenOff) {
-  models::LstmForecaster model({.hidden = 8, .window = 8}, proposed());
-  SessionOptions opts = batcher_options(TaskKind::kRegression, 3, 82,
-                                        /*max_requests=*/2,
-                                        /*max_delay_us=*/1234,
-                                        /*threads=*/1);
-  InferenceSession session(model, opts);
-  AsyncBatcher batcher(session);
-  EXPECT_FALSE(batcher.adaptive_delay());
-  Rng rng(15);
-  Tensor x = Tensor::randn({1, 8, 1}, rng);
-  batcher.submit(x).get();
-  EXPECT_EQ(batcher.counters().effective_delay_us(), 1234);
-  batcher.close();
+  EXPECT_EQ(batcher.counters().timeouts(), 1u);
+  EXPECT_EQ(batcher.counters().completed(), 2u);
 }
 
 TEST(LatencyHistogramTest, BucketsAndPercentiles) {

@@ -8,7 +8,8 @@
 //     submitted == succeeded + failed + timeouts + shed after close();
 //   • results are bit-exact against some replica's single-thread predict
 //     oracle (per-replica seeds make the fleet an ensemble, so "some");
-//   • a crashing replica quarantines itself and traffic fails over;
+//   • a crashing replica quarantines itself and traffic fails over, while a
+//     malformed request fails typed without touching replica health;
 //   • a stalled replica costs one attempt budget, not the deadline;
 //   • quarantined replicas recover through probes (after a hot restart
 //     when the probes keep failing), and the fleet re-converges once the
@@ -28,6 +29,7 @@
 #include "deploy/deploy.h"
 #include "models/lstm_forecaster.h"
 #include "serve/status.h"
+#include "tensor/check.h"
 
 namespace ripple {
 namespace {
@@ -159,6 +161,46 @@ TEST(Cluster, ServesBitExactAgainstSomeReplicaOracle) {
   } catch (const ServeError& e) {
     EXPECT_EQ(e.status(), Status::kClosed);
   }
+}
+
+TEST(Cluster, MalformedRequestFailsTypedWithoutTouchingReplicaHealth) {
+  // A request that breaks a session precondition (here [1,8,3] into a
+  // forecaster expecting [1,8,1]) is the caller's fault: every replica
+  // would reject it alike. Its CheckError must reach the caller unchanged,
+  // unretried, and must not count against any replica's health — or a few
+  // bad requests would quarantine a healthy fleet.
+  ClusterOptions opts = cluster_options(2);
+  opts.probe_input = test_input(1);
+  ClusterController cluster(artifact_path(), opts);
+
+  Rng rng(3);
+  const Tensor bad = Tensor::randn({1, 8, 3}, rng);
+  constexpr int kBad = 4;  // > quarantine_after per replica if counted
+  for (int i = 0; i < kBad; ++i) {
+    EXPECT_THROW(cluster.submit(bad).get(), CheckError) << "request " << i;
+  }
+  EXPECT_EQ(cluster.counters().retries(), 0u);
+  EXPECT_EQ(cluster.counters().failed(), static_cast<uint64_t>(kBad));
+  for (const auto& m : cluster.metrics()) {
+    EXPECT_EQ(m.state, HealthState::kHealthy) << "replica " << m.id;
+    EXPECT_EQ(m.consecutive_failures, 0) << "replica " << m.id;
+    EXPECT_EQ(m.failures, 0u) << "replica " << m.id;
+  }
+
+  // The fleet keeps serving good traffic bit-exactly.
+  const Tensor x = test_input(2);
+  std::vector<Prediction> oracles;
+  for (int i = 0; i < cluster.replicas(); ++i)
+    oracles.push_back(cluster.replica(i).session().predict(x));
+  const Prediction got = cluster.submit(x).get();
+  EXPECT_TRUE(regressions_equal(got, oracles[0]) ||
+              regressions_equal(got, oracles[1]));
+  cluster.close();
+  const auto& c = cluster.counters();
+  EXPECT_EQ(c.submitted(), static_cast<uint64_t>(kBad) + 1);
+  EXPECT_EQ(c.succeeded(), 1u);
+  EXPECT_EQ(c.submitted(),
+            c.succeeded() + c.failed() + c.timeouts() + c.shed());
 }
 
 TEST(Cluster, CrashingReplicaQuarantinesAndTrafficFailsOver) {

@@ -2,10 +2,10 @@
 // backends: save→load→predict round-trips bit-exact against the live
 // model for all four task models (frozen quantizer scales included),
 // kQuantSim serving from the integer codes through the bit codec,
-// kCrossbar matching imc::crossbar_linear for the same seed (with the
-// frozen program cache and its fault-injection invalidate hook), the
-// corrupt/truncated/version-mismatch error paths, and the artifact-backed
-// models::zoo::train_or_load cache.
+// kCrossbar matching imc::Crossbar plus a digital bias for the same seed
+// (with the frozen program cache and its fault-injection invalidate hook),
+// the corrupt/truncated/version-mismatch/out-of-range-enum error paths, and
+// the artifact-backed models::zoo::train_or_load cache.
 #include "deploy/deploy.h"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "imc/crossbar_linear.h"
+#include "imc/crossbar.h"
 #include "models/lstm_forecaster.h"
 #include "models/m5.h"
 #include "models/resnet.h"
@@ -178,9 +178,10 @@ TEST(Backends, QuantSimMatchesEncodeDecodePath) {
                    "quantsim == fp32 outputs");
 }
 
-TEST(Backends, CrossbarLinearParity) {
-  // The backend's linear must reproduce imc::CrossbarLinear exactly for
-  // the same device config and programming seed.
+TEST(Backends, CrossbarParity) {
+  // The backend's linear must reproduce imc::Crossbar plus a digital
+  // post-ADC bias add exactly for the same device config and programming
+  // seed.
   const int64_t fin = 24, fout = 10, n = 5;
   Rng rng(21);
   Tensor w = Tensor::randn({fout, fin}, rng, 0.0f, 0.4f);
@@ -197,11 +198,14 @@ TEST(Backends, CrossbarLinearParity) {
   imc::CrossbarConfig cfg = opts.device;
   cfg.rows = fin;
   cfg.cols = fout;
-  imc::CrossbarLinear reference(cfg);
+  imc::Crossbar reference(cfg);
   Rng prog_rng = Rng(opts.seed).fork(0);  // the backend's first sub-stream
-  reference.program(w, bias, prog_rng);
-  Tensor expected = reference.forward(autograd::Variable(x)).value();
-  expect_bit_equal(expected, out, "CrossbarBackend == CrossbarLinear");
+  reference.program(w, prog_rng);
+  Tensor expected = reference.matvec(x);
+  float* pe = expected.data();
+  for (int64_t i = 0; i < n; ++i)
+    for (int64_t j = 0; j < fout; ++j) pe[i * fout + j] += bias.data()[j];
+  expect_bit_equal(expected, out, "CrossbarBackend == Crossbar + bias");
 
   // Frozen cache: the same tile serves later calls (no re-programming)…
   backend.freeze();
@@ -602,8 +606,140 @@ TEST(ArtifactFormat, Version1FilesStillLoadAndServeIdentically) {
   Tensor x = Tensor::randn({3, 8, 1}, rng);
   expect_bit_equal(s1->mc_outputs(x), s2->mc_outputs(x),
                    "v1 and v2 artifacts serve the same bits");
-  // Version 1 predates the knob: loads get its default (off).
-  EXPECT_FALSE(s1->options().batch_adaptive_delay);
+}
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Offset of the first byte where two same-length-prefix files differ —
+/// locates a header field by saving twice with only that field changed.
+size_t first_difference(const std::vector<char>& a,
+                        const std::vector<char>& b) {
+  size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+  return i;
+}
+
+TEST(ArtifactFormat, RetiredAdaptiveByteAndAutoPolicyServeTheSameBits) {
+  // Artifacts written before the adaptive-delay knob and ExecutionPolicy's
+  // kAuto were retired hold adaptive byte 0/1 and (by default) policy 2.
+  // Both must load and serve exactly like a file holding 0/0.
+  models::LstmForecaster model({.hidden = 8, .window = 8},
+                               {.variant = models::Variant::kProposed});
+  model.set_training(false);
+  model.deploy();
+  SessionOptions opts = options_for(TaskKind::kRegression);
+  Rng rng(55);
+  Tensor x = Tensor::randn({3, 8, 1}, rng);
+  for (uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::string plain = temp_path("retired_plain.rpla");
+    const std::string serial = temp_path("retired_serial.rpla");
+    const std::string legacy = temp_path("retired_legacy.rpla");
+    opts.policy = serve::ExecutionPolicy::kBatched;
+    deploy::save_artifact(model, plain, opts, version);
+    opts.policy = serve::ExecutionPolicy::kSerial;
+    deploy::save_artifact(model, serial, opts, version);
+    std::vector<char> bytes = read_file(plain);
+    // The policy int32 (little-endian) is the first byte the two files
+    // disagree on; the adaptive byte closes the session options 33 bytes
+    // after the policy field ends (max_batch 8, clamp 1, batch_max_requests
+    // 4, batch_max_delay_us 8, batch_max_rows 8, batcher_threads 4).
+    const size_t policy_at = first_difference(bytes, read_file(serial));
+    const size_t adaptive_at = policy_at + 4 + 33 - 1;
+    ASSERT_LT(adaptive_at, bytes.size());
+    ASSERT_EQ(bytes[policy_at], 0);
+    ASSERT_EQ(bytes[adaptive_at], 0);
+    bytes[policy_at] = 2;
+    bytes[adaptive_at] = 1;
+    write_file(legacy, bytes);
+
+    auto a = InferenceSession::open(plain, {.backend = Backend::kQuantSim});
+    auto b = InferenceSession::open(legacy, {.backend = Backend::kQuantSim});
+    EXPECT_EQ(b->options().policy, serve::ExecutionPolicy::kBatched);
+    expect_bit_equal(a->mc_outputs(x), b->mc_outputs(x),
+                     "legacy policy/adaptive bytes serve the same bits");
+    const auto pa = std::get<serve::Regression>(a->predict(x));
+    const auto pb = std::get<serve::Regression>(b->predict(x));
+    expect_bit_equal(pa.mean, pb.mean, "legacy artifact predict mean");
+    expect_bit_equal(pa.stddev, pb.stddev, "legacy artifact predict stddev");
+  }
+}
+
+TEST(ArtifactFormat, OutOfRangeEnumFieldsAreRejected) {
+  // Every int32 enum in the descriptor is range-checked on load; the
+  // error names the field. The writer takes a cast value as given, so the
+  // session-option fields are corrupted through it, and the variant fields
+  // by patching the byte a differing save locates.
+  using models::Variant;
+  models::M5 model({.classes = 8, .width = 4, .input_length = 256},
+                   {.variant = Variant::kProposed});
+  model.set_training(false);
+  model.deploy();
+  const SessionOptions good = options_for(TaskKind::kClassification);
+  const auto expect_rejected = [](const std::string& path,
+                                  const std::string& field) {
+    try {
+      deploy::load_artifact(path);
+      FAIL() << "an out-of-range " << field << " must be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+
+  const std::string task_path = temp_path("enum_task.rpla");
+  SessionOptions bad = good;
+  bad.task = static_cast<TaskKind>(7);
+  deploy::save_artifact(model, task_path, bad);
+  expect_rejected(task_path, "task");
+
+  const std::string policy_path = temp_path("enum_policy.rpla");
+  bad = good;
+  bad.policy = static_cast<serve::ExecutionPolicy>(9);
+  deploy::save_artifact(model, policy_path, bad);
+  expect_rejected(policy_path, "policy");
+
+  // Version 2 has no manifest framing, so the first differing byte is the
+  // field itself rather than a body-length prefix.
+  const std::string base_path = temp_path("enum_base.rpla");
+  deploy::save_artifact(model, base_path, good, /*version=*/2);
+  const std::vector<char> base = read_file(base_path);
+  struct VariantField {
+    const char* name;
+    models::VariantConfig differing;
+  };
+  models::VariantConfig spin = {.variant = Variant::kSpinDrop};
+  models::VariantConfig uniform = {.variant = Variant::kProposed};
+  uniform.init.kind = core::AffineInit::Kind::kUniform;
+  models::VariantConfig element = {.variant = Variant::kProposed};
+  element.granularity = core::DropGranularity::kElementWise;
+  for (const VariantField& f : {VariantField{"variant", spin},
+                                VariantField{"affine-init kind", uniform},
+                                VariantField{"drop granularity", element}}) {
+    SCOPED_TRACE(f.name);
+    models::M5 other({.classes = 8, .width = 4, .input_length = 256},
+                     f.differing);
+    other.set_training(false);
+    other.deploy();
+    const std::string other_path = temp_path("enum_other.rpla");
+    deploy::save_artifact(other, other_path, good, /*version=*/2);
+    const size_t at = first_difference(base, read_file(other_path));
+    ASSERT_LT(at, base.size());
+    std::vector<char> bytes = base;
+    bytes[at] = 7;
+    const std::string path = temp_path("enum_variant.rpla");
+    write_file(path, bytes);
+    expect_rejected(path, f.name);
+  }
 }
 
 TEST(ArtifactFormat, RejectsUnwritableVersions) {

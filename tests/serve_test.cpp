@@ -31,7 +31,7 @@ using serve::SessionOptions;
 using serve::TaskKind;
 
 SessionOptions options_for(TaskKind task, int samples, uint64_t seed,
-                           ExecutionPolicy policy = ExecutionPolicy::kAuto) {
+                           ExecutionPolicy policy = ExecutionPolicy::kBatched) {
   SessionOptions opts;
   opts.task = task;
   opts.mc_samples = samples;

@@ -191,6 +191,32 @@ TEST(ModelServer, QuotaExceededIsTypedAndCounted) {
             Status::kOk);
 }
 
+TEST(ModelServer, UnregisteredTenantIsRejectedWhenAutoRegistrationIsOff) {
+  const std::string path = make_artifact("srv_noauto.rpla", 8, 906);
+  Rng rng(36);
+  Tensor x = Tensor::randn({1, 8, 1}, rng);
+  const Prediction oracle = oracle_of(path, x);
+
+  ServerOptions opts;
+  opts.auto_register_tenants = false;
+  ModelServer server(opts);
+  server.load_model("fleet", "1", path);
+  server.register_tenant({.id = "known", .seed_salt = 0});
+
+  Response rejected = server.serve(request_for("stranger", "fleet", x));
+  EXPECT_EQ(rejected.status, Status::kQuotaExceeded);
+  EXPECT_NE(rejected.error.find("not registered"), std::string::npos);
+  EXPECT_EQ(server.counters().quota_rejected(), 1u);
+  // The rejected tenant was not registered behind the caller's back.
+  for (const auto& row : server.tenant_metrics())
+    EXPECT_NE(row.tenant, "stranger");
+
+  Response served = server.serve(request_for("known", "fleet", x));
+  ASSERT_EQ(served.status, Status::kOk) << served.error;
+  EXPECT_TRUE(regressions_equal(served.prediction, oracle));
+  EXPECT_EQ(server.counters().quota_rejected(), 1u);
+}
+
 TEST(ModelServer, UnknownModelVersionAndEntryAreTyped) {
   const std::string path = make_artifact("srv_unknown.rpla", 8, 903);
   Rng rng(34);
