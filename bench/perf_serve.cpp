@@ -401,8 +401,8 @@ BENCHMARK(BM_AsyncBatcherLstmSmall)
 // Closed-loop producers, each keeping kClusterPipeline requests in flight
 // (submit a burst of futures, then drain it). Fleet-wide inflight depth is
 // producers × pipeline without paying a thread per outstanding request on
-// the producer side; the controller still needs one dispatcher per inflight
-// request, so dispatch_threads is sized to the product below.
+// the producer side; the controller parks no thread per request either —
+// each replica's batcher worker finishes its attempts.
 constexpr int kClusterProducers = 16;
 constexpr int kClusterPipeline = 64;
 
@@ -425,29 +425,17 @@ serve::ClusterOptions bench_cluster_options(int replicas) {
   copts.replicas = replicas;
   serve::SessionOptions sopts =
       session_options(serve::TaskKind::kRegression, kBatcherSamples);
-  // Dispatch on count, not on the delay timer: cap each coalesced batch
-  // at this replica's share of the closed-loop producers so a full batch
-  // triggers the moment the fleet's inflight requests land. A cap above
-  // the share would make every batch wait out the full delay
-  // (the BM_AsyncBatcherLstmSmall/16/2000 trap).
+  // Work-conserving batching (the default floor of 0): a free worker takes
+  // whatever is queued, up to this replica's share of the closed-loop
+  // producers — the deepest batch the fleet's inflight requests can form.
   sopts.batch_max_requests =
       std::max(1, kClusterProducers * kClusterPipeline / replicas);
-  sopts.batch_max_delay_us = 200;
   sopts.batcher_threads = 1;
   copts.deploy.session = sopts;
-  // Chunked dispatch: producers × pipeline inflight requests carried by
-  // one dispatcher per producer, each popping a pipeline-sized chunk per
-  // wakeup — cluster-level concurrency is never the bottleneck,
-  // coalescing depth at the replicas is what's measured.
-  // 4× headroom on dispatchers: a dispatcher that wakes before the full
-  // burst is queued pops a partial chunk, so spare dispatchers are what
-  // keep fleet-wide inflight (and with it replica batch depth) at
-  // producers × pipeline.
-  copts.dispatch_threads = 4 * kClusterProducers;
-  copts.dispatch_chunk = kClusterPipeline;
   copts.default_timeout_us = 30'000'000;
+  // Admission never sheds the closed loop: every inflight request may sit
+  // on one replica.
   copts.max_inflight_per_replica = 2048;
-  copts.queue_limit = 4096;
   return copts;
 }
 
@@ -469,9 +457,8 @@ void run_cluster_submit(benchmark::State& state, bool chaos) {
   Tensor x = Tensor::randn({1, 24, 1}, rng);
   int64_t failed = 0;
   // Burst-and-drain: each iteration submits a pipeline-sized burst and
-  // then collects it. The bursts keep the controller queue deep enough
-  // that dispatchers pop real chunks (a steady one-at-a-time trickle
-  // would degenerate dispatch_chunk to 1).
+  // then collects it, so the replicas' queues are deep enough to coalesce
+  // while their workers are busy.
   std::vector<std::future<serve::Prediction>> burst;
   burst.reserve(kClusterPipeline);
   for (auto _ : state) {

@@ -91,6 +91,30 @@ int32_t read_enum(std::istream& in, const std::string& path,
   return v;
 }
 
+/// Writer side of read_enum: an out-of-range value is the caller's
+/// mistake, rejected before the file is touched, under the field name the
+/// reader would report.
+template <typename E>
+void check_enum(const char* writer, const char* field, E value, E last) {
+  const auto v = static_cast<int32_t>(value);
+  RIPPLE_CHECK(v >= 0 && v <= static_cast<int32_t>(last))
+      << writer << ": out-of-range " << field << " value " << v;
+}
+
+/// Range-checks every int32 enum of one descriptor (variant + session
+/// defaults) — the fields read_variant/read_session_options validate.
+void check_descriptor_enums(const char* writer,
+                            const models::VariantConfig& v,
+                            const serve::SessionOptions& o) {
+  check_enum(writer, "variant", v.variant, models::Variant::kProposed);
+  check_enum(writer, "affine-init kind", v.init.kind,
+             core::AffineInit::Kind::kConstant);
+  check_enum(writer, "drop granularity", v.granularity,
+             core::DropGranularity::kVectorWise);
+  check_enum(writer, "task", o.task, serve::TaskKind::kSegmentation);
+  check_enum(writer, "policy", o.policy, serve::ExecutionPolicy::kSerial);
+}
+
 void write_variant(std::ostream& out, const models::VariantConfig& v) {
   write_pod(out, static_cast<int32_t>(v.variant));
   write_pod(out, v.dropout_p);
@@ -498,6 +522,7 @@ void save_artifact(models::TaskModel& model, const std::string& path,
       << "save_artifact: model must be deployed (frozen quantizer scales)";
   RIPPLE_CHECK(version >= kMinArtifactVersion && version <= kArtifactVersion)
       << "save_artifact: cannot write format version " << version;
+  check_descriptor_enums("save_artifact", model.config(), session_defaults);
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("artifact " + path + ": cannot open");
   out.write(kMagic, 4);
@@ -523,6 +548,8 @@ void save_manifest(const std::vector<ManifestModel>& entries,
         << "save_manifest: entry '" << e.name << "' weight must be positive";
     RIPPLE_CHECK(e.model != nullptr && e.model->deployed())
         << "save_manifest: entry '" << e.name << "' needs a deployed model";
+    check_descriptor_enums("save_manifest", e.model->config(),
+                           e.session_defaults);
   }
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("artifact " + path + ": cannot open");

@@ -44,32 +44,45 @@ AsyncBatcher::AsyncBatcher(const InferenceSession& session)
 AsyncBatcher::~AsyncBatcher() { close(); }
 
 std::future<Prediction> AsyncBatcher::submit(Tensor input) {
-  return enqueue(std::move(input),
-                 std::chrono::steady_clock::time_point::max());
+  return submit_future(std::move(input), Clock::time_point::max(), nullptr);
 }
 
 std::future<Prediction> AsyncBatcher::submit(
     Tensor input, std::chrono::microseconds timeout) {
-  return enqueue(std::move(input),
-                 std::chrono::steady_clock::now() + timeout);
+  return submit_future(std::move(input), Clock::now() + timeout, nullptr);
 }
 
 std::future<Prediction> AsyncBatcher::submit(Tensor input,
                                              std::chrono::microseconds timeout,
                                              trace::TraceContextPtr tctx) {
-  return enqueue(std::move(input), std::chrono::steady_clock::now() + timeout,
-                 std::move(tctx));
+  return submit_future(std::move(input), Clock::now() + timeout,
+                       std::move(tctx));
 }
 
 std::future<Prediction> AsyncBatcher::submit(Tensor input,
                                              trace::TraceContextPtr tctx) {
-  return enqueue(std::move(input), std::chrono::steady_clock::time_point::max(),
-                 std::move(tctx));
+  return submit_future(std::move(input), Clock::time_point::max(),
+                       std::move(tctx));
 }
 
-std::future<Prediction> AsyncBatcher::enqueue(
-    Tensor input, std::chrono::steady_clock::time_point hard_deadline,
+std::future<Prediction> AsyncBatcher::submit_future(
+    Tensor input, Clock::time_point hard_deadline,
     trace::TraceContextPtr tctx) {
+  auto promise = std::make_shared<std::promise<Prediction>>();
+  std::future<Prediction> future = promise->get_future();
+  submit(std::move(input), hard_deadline, std::move(tctx),
+         [promise](Prediction result, std::exception_ptr error) {
+           if (error) {
+             promise->set_exception(std::move(error));
+           } else {
+             promise->set_value(std::move(result));
+           }
+         });
+  return future;
+}
+
+void AsyncBatcher::submit(Tensor input, Clock::time_point hard_deadline,
+                          trace::TraceContextPtr tctx, Completion done) {
   // Self-create a batcher-owned context for untraced requests so direct
   // batcher users get timelines too. With tracing off this is the one
   // branch the submit path pays.
@@ -77,26 +90,23 @@ std::future<Prediction> AsyncBatcher::enqueue(
     tctx = trace::Tracer::instance().begin_trace(
         "", trace::FinishLayer::kBatcher);
   }
-  std::promise<Prediction> promise;
-  std::future<Prediction> future = promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_) {
       counters_.on_reject();
       throw ServeError(Status::kClosed, "AsyncBatcher::submit after close()");
     }
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     queued_rows_ += rows_of(input);
     // The dispatch trigger never waits past the hard deadline: an expired
     // request must surface as a prompt typed failure, not sit out the
-    // coalescing delay first.
-    queue_.push_back(Pending{std::move(input), std::move(promise),
-                             std::min(now + max_delay_, hard_deadline),
-                             now, hard_deadline, std::move(tctx)});
+    // coalescing floor first.
+    queue_.push_back(Pending{std::move(input), std::move(done),
+                             std::min(now + max_delay_, hard_deadline), now,
+                             hard_deadline, std::move(tctx)});
     counters_.on_submit();
   }
   cv_.notify_one();
-  return future;
 }
 
 void AsyncBatcher::set_forward_hook(std::function<void(int64_t)> hook) {
@@ -165,7 +175,7 @@ std::vector<AsyncBatcher::Pending> AsyncBatcher::take_batch() {
 }
 
 std::vector<AsyncBatcher::Pending> AsyncBatcher::sweep_expired(
-    std::chrono::steady_clock::time_point now) {
+    Clock::time_point now) {
   std::vector<Pending> expired;
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (it->hard_deadline <= now) {
@@ -183,25 +193,34 @@ std::vector<AsyncBatcher::Pending> AsyncBatcher::sweep_expired(
   return expired;
 }
 
-void AsyncBatcher::fail_expired(std::vector<Pending>& expired) {
-  if (expired.empty()) return;
-  for (Pending& p : expired) {
-    // Counters first, promise last: a client that just observed the
-    // future must find this request already accounted for.
-    counters_.on_timeout();
-    const auto now = std::chrono::steady_clock::now();
-    counters_.latency().record(
-        std::chrono::duration_cast<std::chrono::microseconds>(now - p.enqueue)
-            .count());
-    counters_.on_complete(1);
-    if (p.trace) {
-      trace::Tracer::instance().record_span(
-          p.trace, trace::Stage::kQueueWait, p.enqueue, now);
-    }
-    p.promise.set_exception(std::make_exception_ptr(ServeError(
-        Status::kTimeout, "request deadline expired in queue")));
-    trace::Tracer::instance().finish_if(p.trace, trace::FinishLayer::kBatcher);
+void AsyncBatcher::complete(Pending& p, Prediction result,
+                            std::exception_ptr error,
+                            Clock::time_point resolve_start) {
+  p.done(std::move(result), std::move(error));
+  if (!p.trace || p.trace->finish_layer != trace::FinishLayer::kBatcher)
+    return;
+  trace::Tracer& tracer = trace::Tracer::instance();
+  if (resolve_start != Clock::time_point{}) {
+    tracer.record_span(p.trace, trace::Stage::kResolve, resolve_start,
+                       Clock::now());
   }
+  tracer.finish(p.trace);
+}
+
+void AsyncBatcher::fail_expired(Pending& p, Clock::time_point now,
+                                const char* what) {
+  // Counters first, completion last: a client that just observed the
+  // outcome must find this request already accounted for.
+  counters_.on_timeout();
+  counters_.latency().record(
+      std::chrono::duration_cast<std::chrono::microseconds>(now - p.enqueue)
+          .count());
+  counters_.on_complete(1);
+  if (p.trace) {
+    trace::Tracer::instance().record_span(p.trace, trace::Stage::kQueueWait,
+                                          p.enqueue, now);
+  }
+  complete(p, {}, std::make_exception_ptr(ServeError(Status::kTimeout, what)));
 }
 
 void AsyncBatcher::run_batch(std::vector<Pending>& batch) {
@@ -212,8 +231,8 @@ void AsyncBatcher::run_batch(std::vector<Pending>& batch) {
   }
   const auto record = [this](const Pending& p) {
     counters_.latency().record(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - p.enqueue)
+        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                              p.enqueue)
             .count());
   };
   // Modeled hardware time per served request: TileCost conversions ×
@@ -230,119 +249,97 @@ void AsyncBatcher::run_batch(std::vector<Pending>& batch) {
   // Deadline enforcement happens at dispatch: a request whose hard
   // deadline already passed gets the typed timeout now and never reaches
   // the session — late traffic must not burn a forward pass on answers
-  // nobody is waiting for. Per request, counters land before the promise
-  // resolves, so metrics are consistent from the client's point of view.
-  const auto dispatch_time = std::chrono::steady_clock::now();
+  // nobody is waiting for. Per request, counters land before the
+  // completion runs, so metrics are consistent from the client's view.
+  const auto dispatch_time = Clock::now();
   trace::Tracer& tracer = trace::Tracer::instance();
   std::vector<Pending> live;
   live.reserve(batch.size());
   for (Pending& p : batch) {
     if (p.hard_deadline <= dispatch_time) {
-      counters_.on_timeout();
-      record(p);
-      counters_.on_complete(1);
-      if (p.trace) {
-        tracer.record_span(p.trace, trace::Stage::kQueueWait, p.enqueue,
-                           dispatch_time);
-      }
-      p.promise.set_exception(std::make_exception_ptr(ServeError(
-          Status::kTimeout, "request deadline expired before dispatch")));
-      tracer.finish_if(p.trace, trace::FinishLayer::kBatcher);
+      fail_expired(p, dispatch_time,
+                   "request deadline expired before dispatch");
     } else {
       live.push_back(std::move(p));
     }
   }
+  if (live.empty()) return;
 
-  if (!live.empty()) {
-    std::vector<Tensor> inputs;
-    inputs.reserve(live.size());
-    int64_t live_rows = 0;
-    bool traced = false;
-    for (const Pending& p : live) {
-      inputs.push_back(p.input);
-      live_rows += rows_of(p.input);
-      traced = traced || p.trace != nullptr;
-    }
-    bool coalesced_ok = false;
-    try {
-      if (hook) hook(live_rows);
-      const auto forward_start = std::chrono::steady_clock::now();
-      trace::TraceData* lead = nullptr;
-      if (traced) {
-        // The coalesced forward is one shared piece of work — queue-wait
-        // and assembly spans land per request, and the first traced member
-        // owns the batch's session-level execute sub-spans.
-        for (const Pending& p : live) {
-          if (!p.trace) continue;
-          if (lead == nullptr) lead = p.trace.get();
-          tracer.record_span(p.trace, trace::Stage::kQueueWait, p.enqueue,
-                             dispatch_time);
-          tracer.record_span(p.trace, trace::Stage::kBatchAssembly,
-                             dispatch_time, forward_start);
-        }
-      }
-      std::vector<Prediction> results;
-      {
-        trace::ActiveRequestScope scope(lead);
-        results = session_.predict_many(inputs);
-      }
-      const auto exec_end = std::chrono::steady_clock::now();
-      coalesced_ok = true;
-      for (size_t i = 0; i < live.size(); ++i) {
-        record(live[i]);
-        record_analog(live[i]);
-        observe_uncertainty(counters_.uncertainty(), results[i]);
-        counters_.on_complete(1);
-        if (live[i].trace) {
-          tracer.record_span(live[i].trace, trace::Stage::kExecute,
-                             forward_start, exec_end,
-                             static_cast<uint32_t>(live.size()));
-        }
-        live[i].promise.set_value(std::move(results[i]));
-        if (live[i].trace) {
-          tracer.record_span(live[i].trace, trace::Stage::kResolve, exec_end,
-                             std::chrono::steady_clock::now());
-          tracer.finish_if(live[i].trace, trace::FinishLayer::kBatcher);
-        }
-      }
-    } catch (...) {
-      if (coalesced_ok) throw;  // a promise was already consumed; don't retry
-      // The coalesced forward failed; retry request-by-request so the
-      // exception lands only in the offending request's future and the
-      // rest of the batch still completes. The hook runs per retried
-      // forward too — an injected crash fails every request it serves.
-      for (Pending& p : live) {
-        try {
-          if (hook) hook(rows_of(p.input));
-          const auto retry_start = std::chrono::steady_clock::now();
-          Prediction result;
-          {
-            trace::ActiveRequestScope scope(p.trace.get());
-            result = session_.predict(p.input);
-          }
-          const auto retry_end = std::chrono::steady_clock::now();
-          record(p);
-          record_analog(p);
-          observe_uncertainty(counters_.uncertainty(), result);
-          counters_.on_complete(1);
-          if (p.trace) {
-            tracer.record_span(p.trace, trace::Stage::kExecute, retry_start,
-                               retry_end, 1);
-          }
-          p.promise.set_value(std::move(result));
-          if (p.trace) {
-            tracer.record_span(p.trace, trace::Stage::kResolve, retry_end,
-                               std::chrono::steady_clock::now());
-            tracer.finish_if(p.trace, trace::FinishLayer::kBatcher);
-          }
-        } catch (...) {
-          record(p);
-          counters_.on_complete(1);
-          p.promise.set_exception(std::current_exception());
-          tracer.finish_if(p.trace, trace::FinishLayer::kBatcher);
-        }
+  std::vector<Tensor> inputs;
+  inputs.reserve(live.size());
+  int64_t live_rows = 0;
+  bool traced = false;
+  for (const Pending& p : live) {
+    inputs.push_back(p.input);
+    live_rows += rows_of(p.input);
+    traced = traced || p.trace != nullptr;
+  }
+  std::vector<Prediction> results;
+  Clock::time_point forward_start;
+  try {
+    if (hook) hook(live_rows);
+    forward_start = Clock::now();
+    trace::TraceData* lead = nullptr;
+    if (traced) {
+      // The coalesced forward is one shared piece of work — queue-wait
+      // and assembly spans land per request, and the first traced member
+      // owns the batch's session-level execute sub-spans.
+      for (const Pending& p : live) {
+        if (!p.trace) continue;
+        if (lead == nullptr) lead = p.trace.get();
+        tracer.record_span(p.trace, trace::Stage::kQueueWait, p.enqueue,
+                           dispatch_time);
+        tracer.record_span(p.trace, trace::Stage::kBatchAssembly,
+                           dispatch_time, forward_start);
       }
     }
+    trace::ActiveRequestScope scope(lead);
+    results = session_.predict_many(inputs);
+  } catch (...) {
+    // The coalesced forward failed; retry request-by-request so the
+    // exception lands only in the offending request and the rest of the
+    // batch still completes. The hook runs per retried forward too — an
+    // injected crash fails every request it serves.
+    for (Pending& p : live) {
+      Prediction result;
+      Clock::time_point retry_start, retry_end;
+      std::exception_ptr error;
+      try {
+        if (hook) hook(rows_of(p.input));
+        retry_start = Clock::now();
+        trace::ActiveRequestScope scope(p.trace.get());
+        result = session_.predict(p.input);
+        retry_end = Clock::now();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      record(p);
+      counters_.on_complete(1);
+      if (error) {
+        complete(p, {}, std::move(error));
+        continue;
+      }
+      record_analog(p);
+      observe_uncertainty(counters_.uncertainty(), result);
+      if (p.trace) {
+        tracer.record_span(p.trace, trace::Stage::kExecute, retry_start,
+                           retry_end, 1);
+      }
+      complete(p, std::move(result), nullptr, retry_end);
+    }
+    return;
+  }
+  const auto exec_end = Clock::now();
+  for (size_t i = 0; i < live.size(); ++i) {
+    record(live[i]);
+    record_analog(live[i]);
+    observe_uncertainty(counters_.uncertainty(), results[i]);
+    counters_.on_complete(1);
+    if (live[i].trace) {
+      tracer.record_span(live[i].trace, trace::Stage::kExecute, forward_start,
+                         exec_end, static_cast<uint32_t>(live.size()));
+    }
+    complete(live[i], std::move(results[i]), nullptr, exec_end);
   }
 }
 
@@ -351,37 +348,36 @@ void AsyncBatcher::worker_loop() {
   for (;;) {
     cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
     if (closed_ && queue_.empty()) return;
-    // Coalescing wait: hold the batch open until max_batch requests (or,
-    // with rows-based sizing, batch_max_rows rows) are queued or the
-    // oldest request's deadline passes. Closing skips straight to
-    // dispatch (drain semantics). The front can change under us (another
+    // Coalescing floor (batch_max_delay_us > 0 only): hold the batch open
+    // until max_batch requests (or, with rows-based sizing, batch_max_rows
+    // rows) are queued or the earliest dispatch trigger passes. At the
+    // default floor of 0 every trigger is the enqueue time, so an idle
+    // worker dispatches what is queued at once. Closing skips straight to
+    // dispatch (drain semantics). The queue can change under us (another
     // worker dispatched), so every wakeup re-reads it.
     while (!closed_ && !queue_.empty() &&
            static_cast<int64_t>(queue_.size()) < max_batch_ &&
            (max_rows_ == 0 || queued_rows_ < max_rows_)) {
-      // Copy the deadline out: wait_until holds it by reference across the
-      // unlocked wait, and another worker may dispatch (and free) the
-      // front entry meanwhile. The whole queue is scanned for the earliest
-      // dispatch deadline: per-request hard deadlines break the
-      // front-is-oldest-deadline invariant — a later arrival may carry a
-      // shorter deadline than the front.
-      std::chrono::steady_clock::time_point deadline =
-          queue_.front().deadline;
-      for (const Pending& p : queue_)
-        deadline = std::min(deadline, p.deadline);
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
+      // The whole queue is scanned for the earliest dispatch trigger:
+      // per-request hard deadlines break the front-is-earliest invariant —
+      // a later arrival may carry a shorter deadline than the front.
+      Clock::time_point trigger = queue_.front().deadline;
+      for (const Pending& p : queue_) trigger = std::min(trigger, p.deadline);
+      if (trigger <= Clock::now() ||
+          cv_.wait_until(lock, trigger) == std::cv_status::timeout)
+        break;
     }
     if (queue_.empty()) continue;
     // Expired requests are rejected from wherever they sit in the queue —
     // including behind a shape they never could have coalesced with —
     // before batch assembly, so a deadline rejection is prompt and the
     // queue-depth gauge drops on this path exactly as it does on dispatch.
-    std::vector<Pending> expired =
-        sweep_expired(std::chrono::steady_clock::now());
+    std::vector<Pending> expired = sweep_expired(Clock::now());
     std::vector<Pending> batch;
     if (!queue_.empty()) batch = take_batch();
     lock.unlock();
-    fail_expired(expired);
+    for (Pending& p : expired)
+      fail_expired(p, Clock::now(), "request deadline expired in queue");
     if (!batch.empty()) run_batch(batch);
     lock.lock();
   }

@@ -13,22 +13,64 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
+/// Call::open when no attempt can be claimed.
+constexpr int kClaimed = -1;
+/// TimerEntry::attempt of a backoff wake-up.
+constexpr int kRetry = -1;
+/// Longest the timer thread sleeps with nothing armed. Arming an entry
+/// due before the sleeper's own wake-up notifies it; entries due later
+/// (attempt deadlines are usually hundreds of ms out) do not, so an idle
+/// fleet's timer thread costs a wake-up per tick, not one per request.
+constexpr auto kTimerIdleTick = std::chrono::milliseconds(50);
+/// Heartbeat intervals a fleet with no quarantined replica sleeps between
+/// rounds.
+constexpr int kIdleBeats = 100;
 
 int64_t us_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration_cast<std::chrono::microseconds>(to - from)
       .count();
 }
 
+bool is_check_error(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const CheckError&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
 }  // namespace
+
+struct ClusterController::Call {
+  Tensor input;
+  std::promise<Prediction> promise;
+  Clock::time_point enqueue;
+  Clock::time_point deadline;  // kNoDeadline = none
+  trace::TraceContextPtr trace;
+
+  // Attempt state, touched only by the call's current owner: the thread
+  // that starts an attempt, then whichever path claims it (or the timer
+  // thread, for a scheduled retry).
+  int attempt = 0;  // index of the attempt in flight, or the next one
+  int replica = -1;  // where the attempt in flight was routed
+  int last_failed = -1;  // retries route around it
+  int64_t backoff_us = 0;
+  Clock::time_point attempt_start;
+
+  /// The attempt index a completion or its deadline timer may still claim;
+  /// kClaimed once one of them has.
+  std::atomic<int> open{kClaimed};
+  /// This call's armed timer entry (guarded by timer_mutex_).
+  Timers::iterator timer;
+  bool timer_armed = false;
+};
 
 ClusterController::ClusterController(const std::string& artifact_path,
                                      ClusterOptions options)
     : options_(std::move(options)), artifact_path_(artifact_path) {
   RIPPLE_CHECK(options_.replicas >= 1) << "ClusterController: replicas >= 1";
-  RIPPLE_CHECK(options_.dispatch_threads >= 1)
-      << "ClusterController: dispatch_threads >= 1";
-  RIPPLE_CHECK(options_.dispatch_chunk >= 1)
-      << "ClusterController: dispatch_chunk >= 1";
   RIPPLE_CHECK(options_.max_attempts >= 1)
       << "ClusterController: max_attempts >= 1";
 
@@ -39,6 +81,9 @@ ClusterController::ClusterController(const std::string& artifact_path,
   const SessionOptions base = options_.deploy.session.has_value()
                                   ? *options_.deploy.session
                                   : master.session_defaults;
+  const Shape warm_shape = options_.probe_input.defined()
+                               ? options_.probe_input.shape()
+                               : Shape{};
   fleet_.reserve(static_cast<size_t>(options_.replicas));
   for (int i = 0; i < options_.replicas; ++i) {
     deploy::DeployOptions per = options_.deploy;
@@ -51,13 +96,10 @@ ClusterController::ClusterController(const std::string& artifact_path,
                        : InferenceSession::open(std::move(master), per);
     fleet_.push_back(std::make_unique<Replica>(
         i, std::move(session), artifact_path_, std::move(per),
-        options_.health));
+        options_.health, warm_shape));
   }
 
-  dispatchers_.reserve(static_cast<size_t>(options_.dispatch_threads));
-  for (int t = 0; t < options_.dispatch_threads; ++t) {
-    dispatchers_.emplace_back([this] { dispatcher_loop(); });
-  }
+  timer_ = std::thread([this] { timer_loop(); });
   heartbeat_ = std::thread([this] { heartbeat_loop(); });
 }
 
@@ -83,41 +125,53 @@ std::future<Prediction> ClusterController::submit(
     tctx = trace::Tracer::instance().begin_trace(
         "", trace::FinishLayer::kCluster);
   }
-  std::promise<Prediction> promise;
-  std::future<Prediction> future = promise.get_future();
   const auto now = Clock::now();
-  const auto deadline = timeout.count() > 0 ? now + timeout : kNoDeadline;
-
-  std::lock_guard lock(mutex_);
-  if (closed_) {
-    throw ServeError(Status::kClosed, "ClusterController::submit after close()");
+  {
+    std::lock_guard lock(mutex_);
+    if (closed_) {
+      throw ServeError(Status::kClosed,
+                       "ClusterController::submit after close()");
+    }
+    ++active_;
   }
   counters_.on_submit();
+  auto call = std::make_shared<Call>();
+  call->input = std::move(input);
+  call->enqueue = now;
+  call->deadline = timeout.count() > 0 ? now + timeout : kNoDeadline;
+  call->trace = std::move(tctx);
+  call->backoff_us = options_.retry_backoff_us;
+  std::future<Prediction> future = call->promise.get_future();
 
   // Admission control: reject *now* rather than time out later. A fleet
   // with no routable replica at all is not overload — those requests are
   // accepted and given their deadline to outlive the outage.
-  const bool queue_full =
-      static_cast<int64_t>(queue_.size()) >= options_.queue_limit;
-  const RoutingDecision d = queue_full ? RoutingDecision{} : route();
-  if (queue_full || d.verdict == Status::kOverloaded) {
+  const RoutingDecision d = route();
+  if (d.verdict == Status::kOverloaded) {
     counters_.on_shed();
-    promise.set_exception(std::make_exception_ptr(ServeError(
-        Status::kOverloaded, queue_full ? "controller queue full"
-                                        : "all routable replicas saturated")));
-    trace::Tracer::instance().finish_if(tctx, trace::FinishLayer::kCluster);
+    call->promise.set_exception(std::make_exception_ptr(ServeError(
+        Status::kOverloaded, "all routable replicas saturated")));
+    trace::Tracer::instance().finish_if(call->trace,
+                                        trace::FinishLayer::kCluster);
+    release();
     return future;
   }
-
-  queue_.push_back(Task{std::move(input), std::move(promise), now, deadline,
-                        std::move(tctx)});
-  cv_.notify_one();
+  // Until something succeeds, the first accepted input is the probe
+  // canary: a fleet quarantined before its first success still heals.
+  if (!options_.probe_input.defined() &&
+      !have_canary_.load(std::memory_order_relaxed)) {
+    std::lock_guard lock(probe_mutex_);
+    if (!canary_.defined()) canary_ = call->input;
+    have_canary_.store(true, std::memory_order_relaxed);
+  }
+  start_attempt(call, d);
   return future;
 }
 
 RoutingDecision ClusterController::route(int exclude) const {
-  // Thread-local scratch: route() runs once per attempt on every
-  // dispatcher, so the pool buffers must not cost a heap allocation each.
+  // Thread-local scratch: route() runs once per attempt, on submitting,
+  // timer and test threads, so the pool buffers must not cost a heap
+  // allocation each.
   thread_local std::vector<int> healthy;
   thread_local std::vector<int> degraded;
   thread_local std::vector<int> excluded;  // vetoed — pool of last resort
@@ -168,236 +222,239 @@ RoutingDecision ClusterController::route(int exclude) const {
   return d;
 }
 
-void ClusterController::dispatcher_loop() {
-  std::vector<Task> chunk;
-  std::vector<Attempt> first;
-  for (;;) {
-    chunk.clear();
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // closed and drained
-      const auto take =
-          std::min(queue_.size(),
-                   static_cast<size_t>(options_.dispatch_chunk));
-      for (size_t i = 0; i < take; ++i) {
-        chunk.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    // Start every first attempt before awaiting any result: the chunk
-    // coalesces into the replicas' batches together, and by the time the
-    // collect pass reaches task i its future is usually already resolved.
-    first.clear();
-    first.resize(chunk.size());
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      if (chunk[i].trace) {
-        // Cluster-level queue wait (detail 1 distinguishes it from a
-        // batcher's queue-wait span on the same timeline).
-        trace::Tracer::instance().record_span(
-            chunk[i].trace, trace::Stage::kQueueWait, chunk[i].enqueue,
-            Clock::now(), 1);
-      }
-      start_attempt(chunk[i], /*attempt=*/0, /*exclude=*/-1, first[i]);
-    }
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      serve_task(chunk[i], first[i]);
-    }
-  }
-}
-
 Clock::time_point ClusterController::attempt_deadline_for(
-    const Task& task, Clock::time_point now, int attempt) const {
-  auto attempt_deadline = task.deadline;
+    const Call& call, Clock::time_point now) const {
+  auto attempt_deadline = call.deadline;
   if (options_.attempt_timeout_us > 0) {
     attempt_deadline =
         now + std::chrono::microseconds(options_.attempt_timeout_us);
-    if (task.deadline != kNoDeadline) {
-      attempt_deadline = std::min(attempt_deadline, task.deadline);
+    if (call.deadline != kNoDeadline) {
+      attempt_deadline = std::min(attempt_deadline, call.deadline);
     }
-  } else if (task.deadline != kNoDeadline) {
+  } else if (call.deadline != kNoDeadline) {
     attempt_deadline =
-        now + (task.deadline - now) / (options_.max_attempts - attempt);
+        now + (call.deadline - now) / (options_.max_attempts - call.attempt);
   }
   return attempt_deadline;
 }
 
-void ClusterController::start_attempt(Task& task, int attempt, int exclude,
-                                      Attempt& a) {
+void ClusterController::start_attempt(const CallPtr& call,
+                                      RoutingDecision decision) {
   const auto now = Clock::now();
-  a = Attempt{};
-  a.start = now;
-  if (task.deadline != kNoDeadline && now >= task.deadline) {
-    a.expired = true;
+  if (call->deadline != kNoDeadline && now >= call->deadline) {
+    fail(*call, Status::kTimeout,
+         "deadline expired after " + std::to_string(call->attempt) +
+             " attempt(s)");
     return;
   }
-  a.decision = route(exclude);
-  if (a.decision.replica < 0) return;
+  if (decision.replica < 0) {
+    // Nothing routable this instant; back off and let the fleet heal (or
+    // the deadline fire) instead of burning the attempt budget. Exhausted:
+    // kOverloaded when routable replicas stayed saturated the whole
+    // attempt budget, kReplicaDown when the fleet was quarantined.
+    if (retry(call)) return;
+    fail(*call,
+         decision.verdict == Status::kOk ? Status::kReplicaDown
+                                         : decision.verdict,
+         "no routable replica after " + std::to_string(call->attempt) +
+             " attempt(s)");
+    return;
+  }
   // Per-attempt deadline: a stalled replica costs one attempt, not the
   // whole deadline.
-  a.deadline = attempt_deadline_for(task, now, attempt);
-  const auto budget =
-      a.deadline == kNoDeadline
-          ? std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::hours(24 * 365))
-          : std::chrono::microseconds(us_between(now, a.deadline));
-  Replica& replica = *fleet_[a.decision.replica];
+  const int attempt = call->attempt;
+  const int routed = decision.replica;
+  const auto attempt_deadline = attempt_deadline_for(*call, now);
+  call->replica = routed;
+  call->attempt_start = now;
+  Replica& replica = *fleet_[routed];
+  if (call->trace) {
+    trace::Tracer::instance().record_span(call->trace, trace::Stage::kDispatch,
+                                          now, Clock::now(),
+                                          static_cast<uint32_t>(routed));
+  }
   replica.begin_attempt();
+  // From here on the completion or the timer may own the call: below,
+  // only locals and the call's never-written input and trace are read.
+  call->open.store(attempt, std::memory_order_release);
+  if (attempt_deadline != kNoDeadline) arm(call, attempt_deadline, attempt);
   try {
-    a.outcome = replica.submit(task.input, budget, task.trace);
-    a.dispatched = true;
-    if (task.trace) {
-      trace::Tracer::instance().record_span(
-          task.trace, trace::Stage::kDispatch, now, Clock::now(),
-          static_cast<uint32_t>(a.decision.replica));
-    }
+    replica.submit(call->input, attempt_deadline, call->trace,
+                   [this, call, attempt, routed](Prediction result,
+                                                 std::exception_ptr error) {
+                     on_attempt_done(call, attempt, routed, std::move(result),
+                                     std::move(error));
+                   });
   } catch (...) {
-    // Replica closed between route() and submit() — serve_task treats it
-    // as a failed attempt and re-routes.
+    // Replica closed between route() and submit(): a failed attempt,
+    // re-routed like any other.
+    replica.end_attempt();
+    if (claim(*call, attempt)) {
+      disarm(*call);
+      on_attempt_failed(call, routed, /*timed_out=*/false);
+    }
   }
 }
 
-void ClusterController::serve_task(Task& task, Attempt& a) {
-  const auto resolve_latency = [&] {
-    counters_.latency().record(us_between(task.enqueue, Clock::now()));
-  };
-  const auto finish_trace = [&] {
-    trace::Tracer::instance().finish_if(task.trace,
-                                        trace::FinishLayer::kCluster);
-  };
-  const auto fail = [&](Status status, const std::string& what) {
-    if (status == Status::kTimeout) {
-      counters_.on_timeout();
-    } else {
-      counters_.on_failure();
+void ClusterController::on_attempt_done(const CallPtr& call, int attempt,
+                                        int replica, Prediction result,
+                                        std::exception_ptr error) {
+  Replica& r = *fleet_[replica];
+  r.end_attempt();
+  // Lost the claim: the attempt was abandoned at its deadline and the
+  // request has moved on — the late result is dropped.
+  if (!claim(*call, attempt)) return;
+  disarm(*call);
+  if (!error) {
+    r.on_success(static_cast<double>(us_between(call->attempt_start,
+                                                Clock::now())));
+    // Refresh the probe canary opportunistically: skipping a refresh
+    // under contention is harmless (any recent good input works), and a
+    // per-success contended lock is not.
+    if (probe_mutex_.try_lock()) {
+      canary_ = call->input;
+      have_canary_.store(true, std::memory_order_relaxed);
+      probe_mutex_.unlock();
     }
-    resolve_latency();
-    task.promise.set_exception(
-        std::make_exception_ptr(ServeError(status, what)));
-    finish_trace();
-  };
-  const auto backoff_sleep = [&](int64_t backoff_us) {
-    auto wait = std::chrono::microseconds(backoff_us);
-    if (task.deadline != kNoDeadline) {
-      const auto now = Clock::now();
-      if (now >= task.deadline) return;
-      wait = std::min(
-          wait, std::chrono::duration_cast<std::chrono::microseconds>(
-                    task.deadline - now));
-    }
-    if (wait.count() > 0) std::this_thread::sleep_for(wait);
-  };
-
-  int attempt = 0;
-  int64_t backoff = options_.retry_backoff_us;
-  bool last_attempt_timed_out = false;
-  int last_failed_replica = -1;
-  for (;;) {
-    if (a.expired) {
-      fail(Status::kTimeout, "deadline expired after " +
-                                 std::to_string(attempt) + " attempt(s)");
-      return;
-    }
-    const int routed = a.decision.replica;
-    if (routed < 0) {
-      // Nothing routable this instant; back off and let the fleet heal
-      // (or the deadline fire) instead of burning the attempt budget.
-      ++attempt;
-      if (attempt >= options_.max_attempts) {
-        // kOverloaded: routable replicas existed but stayed saturated the
-        // whole attempt budget; kReplicaDown: the fleet was quarantined.
-        fail(a.decision.verdict == Status::kOk ? Status::kReplicaDown
-                                               : a.decision.verdict,
-             "no routable replica after " + std::to_string(attempt) +
-                 " attempt(s)");
-        return;
+    succeed(*call, std::move(result));
+    return;
+  }
+  if (is_check_error(error)) {
+    // A precondition violation (wrong shape, wrong task kind) is the
+    // request's fault, not the replica's: any replica would reject it the
+    // same way. Deliver it unchanged, without a retry and without touching
+    // the replica's health — and never keep its input as the canary.
+    {
+      std::lock_guard lock(probe_mutex_);
+      if (canary_.defined() && canary_.data() == call->input.data()) {
+        canary_ = Tensor{};
+        have_canary_.store(false, std::memory_order_relaxed);
       }
-      counters_.on_retry();
-      backoff_sleep(backoff);
-      backoff = std::min(backoff * 2, options_.max_backoff_us);
-      start_attempt(task, attempt, last_failed_replica, a);
+    }
+    fail_with(*call, std::move(error));
+    return;
+  }
+  on_attempt_failed(call, replica, /*timed_out=*/false);
+}
+
+void ClusterController::on_attempt_failed(const CallPtr& call, int replica,
+                                          bool timed_out) {
+  fleet_[replica]->on_failure(timed_out);
+  if (fleet_[replica]->state() == HealthState::kQuarantined) {
+    // Start probing now. Taking mutex_ orders this against the heartbeat's
+    // check-then-wait, so the wake-up cannot fall in between.
+    { std::lock_guard lock(mutex_); }
+    hb_cv_.notify_all();
+  }
+  call->last_failed = replica;
+  if (retry(call)) return;
+  const std::string n = std::to_string(call->attempt);
+  if (timed_out ||
+      (call->deadline != kNoDeadline && Clock::now() >= call->deadline)) {
+    fail(*call, Status::kTimeout, "all " + n + " attempt(s) timed out");
+  } else {
+    fail(*call, Status::kReplicaDown, "all " + n + " attempt(s) failed");
+  }
+}
+
+bool ClusterController::retry(const CallPtr& call) {
+  if (++call->attempt >= options_.max_attempts) return false;
+  counters_.on_retry();
+  auto wake = Clock::now() + std::chrono::microseconds(call->backoff_us);
+  if (call->deadline != kNoDeadline) wake = std::min(wake, call->deadline);
+  call->backoff_us = std::min(call->backoff_us * 2, options_.max_backoff_us);
+  arm(call, wake, kRetry);
+  return true;
+}
+
+bool ClusterController::claim(Call& call, int attempt) {
+  int expected = attempt;
+  return call.open.compare_exchange_strong(expected, kClaimed,
+                                           std::memory_order_acq_rel);
+}
+
+void ClusterController::arm(const CallPtr& call, Clock::time_point when,
+                            int attempt) {
+  bool wake = false;
+  {
+    std::lock_guard lock(timer_mutex_);
+    call->timer = timers_.emplace(when, TimerEntry{call, attempt});
+    call->timer_armed = true;
+    wake = when < timer_wake_;
+  }
+  if (wake) timer_cv_.notify_one();
+}
+
+void ClusterController::disarm(Call& call) {
+  std::lock_guard lock(timer_mutex_);
+  if (!call.timer_armed) return;
+  call.timer_armed = false;
+  timers_.erase(call.timer);
+}
+
+void ClusterController::timer_loop() {
+  std::unique_lock lock(timer_mutex_);
+  while (!timer_stop_) {
+    const auto now = Clock::now();
+    if (timers_.empty() || timers_.begin()->first > now) {
+      timer_wake_ = timers_.empty() ? now + kTimerIdleTick
+                                    : timers_.begin()->first;
+      timer_cv_.wait_until(lock, timer_wake_);
       continue;
     }
-    Replica& replica = *fleet_[routed];
-    bool ready = false;
-    if (a.dispatched) {
-      if (a.deadline == kNoDeadline) {
-        a.outcome.wait();
-        ready = true;
-      } else {
-        ready = a.outcome.wait_until(a.deadline) == std::future_status::ready;
-      }
+    TimerEntry due = std::move(timers_.begin()->second);
+    timers_.erase(timers_.begin());
+    due.call->timer_armed = false;
+    lock.unlock();
+    if (due.attempt == kRetry) {
+      start_attempt(due.call, route(due.call->last_failed));
+    } else if (claim(*due.call, due.attempt)) {
+      // Abandoned at its deadline: the attempt's future result is dropped
+      // when it arrives, and the request re-routes.
+      on_attempt_failed(due.call, due.call->replica, /*timed_out=*/true);
     }
-
-    if (ready) {
-      try {
-        Prediction prediction = a.outcome.get();
-        replica.end_attempt();
-        replica.on_success(
-            static_cast<double>(us_between(a.start, Clock::now())));
-        // Refresh the probe canary opportunistically: skipping a refresh
-        // under contention is harmless (any recent good input works), and
-        // a per-success contended lock is not.
-        if (probe_mutex_.try_lock()) {
-          last_good_input_ = task.input;
-          have_last_good_ = true;
-          probe_mutex_.unlock();
-        }
-        counters_.on_success();
-        resolve_latency();
-        const auto resolve_start = Clock::now();
-        task.promise.set_value(std::move(prediction));
-        if (task.trace) {
-          trace::Tracer::instance().record_span(task.trace,
-                                                trace::Stage::kResolve,
-                                                resolve_start, Clock::now());
-          finish_trace();
-        }
-        return;
-      } catch (const CheckError&) {
-        // A precondition violation (wrong shape, wrong task kind) is the
-        // request's fault, not the replica's: any replica would reject it
-        // the same way. Deliver it unchanged, without a retry and without
-        // touching the replica's health.
-        replica.end_attempt();
-        counters_.on_failure();
-        resolve_latency();
-        task.promise.set_exception(std::current_exception());
-        finish_trace();
-        return;
-      } catch (...) {
-        replica.end_attempt();
-        replica.on_failure(/*timed_out=*/false);
-        last_attempt_timed_out = false;
-        last_failed_replica = routed;
-      }
-    } else {
-      // Attempt abandoned at its deadline (or never dispatched — replica
-      // closed under us): the future is discarded (a late result resolves
-      // dead shared state, harmlessly) and the request re-routes.
-      replica.end_attempt();
-      replica.on_failure(/*timed_out=*/a.dispatched);
-      last_attempt_timed_out = a.dispatched;
-      last_failed_replica = routed;
-    }
-
-    ++attempt;
-    if (attempt >= options_.max_attempts) {
-      if (last_attempt_timed_out ||
-          (task.deadline != kNoDeadline && Clock::now() >= task.deadline)) {
-        fail(Status::kTimeout, "all " + std::to_string(attempt) +
-                                   " attempt(s) timed out");
-      } else {
-        fail(Status::kReplicaDown,
-             "all " + std::to_string(attempt) + " attempt(s) failed");
-      }
-      return;
-    }
-    counters_.on_retry();
-    backoff_sleep(backoff);
-    backoff = std::min(backoff * 2, options_.max_backoff_us);
-    start_attempt(task, attempt, last_failed_replica, a);
+    due.call.reset();
+    lock.lock();
   }
+}
+
+void ClusterController::succeed(Call& call, Prediction prediction) {
+  counters_.on_success();
+  counters_.latency().record(us_between(call.enqueue, Clock::now()));
+  const auto resolve_start = Clock::now();
+  call.promise.set_value(std::move(prediction));
+  if (call.trace) {
+    trace::Tracer& tracer = trace::Tracer::instance();
+    tracer.record_span(call.trace, trace::Stage::kResolve, resolve_start,
+                       Clock::now());
+    tracer.finish_if(call.trace, trace::FinishLayer::kCluster);
+  }
+  release();
+}
+
+void ClusterController::fail(Call& call, Status status,
+                             const std::string& what) {
+  fail_with(call, std::make_exception_ptr(ServeError(status, what)),
+            status == Status::kTimeout);
+}
+
+void ClusterController::fail_with(Call& call, std::exception_ptr error,
+                                  bool timed_out) {
+  if (timed_out) {
+    counters_.on_timeout();
+  } else {
+    counters_.on_failure();
+  }
+  counters_.latency().record(us_between(call.enqueue, Clock::now()));
+  call.promise.set_exception(std::move(error));
+  trace::Tracer::instance().finish_if(call.trace,
+                                      trace::FinishLayer::kCluster);
+  release();
+}
+
+void ClusterController::release() {
+  std::lock_guard lock(mutex_);
+  if (--active_ == 0 && closed_) drained_cv_.notify_all();
 }
 
 void ClusterController::heartbeat_loop() {
@@ -405,7 +462,14 @@ void ClusterController::heartbeat_loop() {
       std::chrono::microseconds(options_.heartbeat_interval_us);
   std::unique_lock lock(mutex_);
   while (!closed_) {
-    hb_cv_.wait_for(lock, interval, [&] { return closed_; });
+    // Beat every interval while a replica is quarantined; a healthy fleet
+    // sleeps kIdleBeats intervals (a quarantine wakes it early).
+    const bool probing = std::any_of(
+        fleet_.begin(), fleet_.end(), [](const std::unique_ptr<Replica>& r) {
+          return r->state() == HealthState::kQuarantined;
+        });
+    hb_cv_.wait_for(lock, probing ? interval : kIdleBeats * interval,
+                    [&] { return closed_; });
     if (closed_) return;
     lock.unlock();
     probe_quarantined();
@@ -416,12 +480,12 @@ void ClusterController::heartbeat_loop() {
 Tensor ClusterController::probe_input() {
   if (options_.probe_input.defined()) return options_.probe_input;
   std::lock_guard lock(probe_mutex_);
-  return have_last_good_ ? last_good_input_ : Tensor{};
+  return canary_;
 }
 
 void ClusterController::probe_quarantined() {
   const Tensor canary = probe_input();
-  if (!canary.defined()) return;  // nothing served successfully yet
+  if (!canary.defined()) return;  // nothing accepted yet
   const auto budget = std::chrono::microseconds(options_.probe_timeout_us);
   for (auto& entry : fleet_) {
     Replica& replica = *entry;
@@ -471,8 +535,9 @@ std::vector<NodeMetrics> ClusterController::metrics() const {
 }
 
 int64_t ClusterController::queue_depth() const {
-  std::lock_guard lock(mutex_);
-  return static_cast<int64_t>(queue_.size());
+  int64_t depth = 0;
+  for (const auto& r : fleet_) depth += r->metrics().queue_depth;
+  return depth;
 }
 
 void ClusterController::close() {
@@ -480,13 +545,20 @@ void ClusterController::close() {
     std::lock_guard lock(mutex_);
     closed_ = true;
   }
-  cv_.notify_all();
   hb_cv_.notify_all();
   std::lock_guard join_lock(join_mutex_);
-  for (auto& t : dispatchers_) {
-    if (t.joinable()) t.join();
+  {
+    // Accepted requests still resolve: their retries run on the timer
+    // thread, their attempts on the still-open replicas.
+    std::unique_lock lock(mutex_);
+    drained_cv_.wait(lock, [&] { return active_ == 0; });
   }
-  dispatchers_.clear();
+  {
+    std::lock_guard lock(timer_mutex_);
+    timer_stop_ = true;
+  }
+  timer_cv_.notify_all();
+  if (timer_.joinable()) timer_.join();
   if (heartbeat_.joinable()) heartbeat_.join();
   for (auto& r : fleet_) r->close();
 }

@@ -11,45 +11,59 @@
 //   • submit(x[, timeout]) → std::future<Prediction>, resolved **exactly
 //     once** no matter what the fleet does underneath: with a result on
 //     success, with ServeError{kTimeout | kReplicaDown | kOverloaded}
-//     otherwise. Each accepted request is owned end-to-end by one
-//     dispatcher thread — the only writer of its promise — so crashes,
-//     stalls, retries and late results can never double-resolve or drop
-//     a caller's future (late results from an abandoned attempt are
-//     simply discarded with the attempt's future).
+//     otherwise. No thread is parked per request: submit() routes and
+//     starts the first attempt on the caller's thread, and the replica's
+//     batcher worker finishes it through a completion callback. Each
+//     attempt carries an atomic claim that exactly one of "completed" (the
+//     callback) and "abandoned at its deadline" (the timer thread) wins;
+//     the winner resolves the promise or re-routes. A late result from an
+//     abandoned attempt loses the claim and is dropped, so crashes,
+//     stalls, retries and late results can never double-resolve or drop a
+//     caller's future.
 //
 //   • Routing is load-aware power-of-two-choices: two candidates are
 //     drawn from the routable pool (Healthy preferred; Degraded only
 //     when no Healthy replica has capacity; Quarantined never) and the
-//     one with the lower load() — in-flight attempts + batcher queue
-//     depth — wins. RoutingDecision exposes the choice for tests.
+//     one with the lower load() — attempts in flight on it — wins.
+//     RoutingDecision exposes the choice for tests.
 //
 //   • Failed attempts retry with exponential backoff on a *re-routed*
-//     replica, up to max_attempts within the request's deadline. The
-//     failure feedback drives the replica health machine (replica.h), so
-//     a crashing replica quarantines itself out of the pool after a few
-//     requests instead of eating every retry. A CheckError (the request
-//     broke a session precondition — wrong shape, wrong task kind) is the
-//     request's fault, not the replica's: it reaches the caller's future
-//     unchanged, is not retried and leaves replica health untouched.
+//     replica, up to max_attempts within the request's deadline. One timer
+//     thread, ordered by wake time, owns every per-attempt deadline and
+//     every backoff-delayed retry; a batcher worker never sleeps or blocks
+//     on the controller's behalf. The failure feedback drives the replica
+//     health machine (replica.h), so a crashing replica quarantines itself
+//     out of the pool after a few requests instead of eating every retry.
+//     A CheckError (the request broke a session precondition — wrong
+//     shape, wrong task kind) is the request's fault, not the replica's:
+//     it reaches the caller's future unchanged, is not retried and leaves
+//     replica health untouched.
 //
-//   • Admission control sheds load instead of collapsing: when the
-//     controller queue is full, or every routable replica is saturated
-//     (load ≥ max_inflight_per_replica), submit() returns an
-//     already-failed future with ServeError{kOverloaded} — the caller
-//     hears "back off" in microseconds rather than a timeout later. If
-//     *no* replica is routable (whole fleet quarantined) requests are
-//     still accepted: the fleet may heal within their deadline; that is
-//     the graceful-degradation path, not the overload path.
+//   • Admission control sheds load instead of collapsing: when every
+//     routable replica is saturated (load ≥ max_inflight_per_replica),
+//     submit() returns an already-failed future with
+//     ServeError{kOverloaded} — the caller hears "back off" in
+//     microseconds rather than a timeout later. If *no* replica is
+//     routable (whole fleet quarantined) requests are still accepted: the
+//     fleet may heal within their deadline; that is the
+//     graceful-degradation path, not the overload path.
 //
-//   • A heartbeat thread snapshots NodeMetrics and probes Quarantined
-//     replicas with a canary input (ClusterOptions::probe_input, or the
-//     last successfully served input). probe_successes consecutive green
-//     probes return the replica to Healthy; restart_after_probe_failures
-//     consecutive red ones trigger a hot restart — kill the session,
-//     respawn it from the artifact (auto_restart).
+//   • A heartbeat thread probes Quarantined replicas with a canary input:
+//     ClusterOptions::probe_input, else the last successfully served
+//     input, else — before anything succeeded — the first input the
+//     cluster accepted, so a fleet quarantined before its first success
+//     still heals. probe_successes consecutive green probes return the
+//     replica to Healthy; restart_after_probe_failures consecutive red
+//     ones trigger a hot restart — kill the session, respawn it from the
+//     artifact (auto_restart).
 //
-// close() (and the destructor) drains: queued requests are still served,
-// then dispatchers join, then the replicas close. Every future ever
+//   • Warm start: with probe_input set, every replica precompiles its
+//     shape before it takes traffic — at construction and on restart — so
+//     the first routed request never pays a trace + compile + verify.
+//
+// close() (and the destructor) drains: new submits are rejected, every
+// accepted request resolves (retries still run), then the timer and
+// heartbeat threads join and the replicas close. Every future ever
 // returned by submit() is resolved — requests are never silently dropped.
 //
 // Verified by tests/cluster_test.cpp: a chaos harness injects crashes,
@@ -61,8 +75,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -85,18 +100,6 @@ struct ClusterOptions {
   /// chip-to-chip variation model.
   deploy::DeployOptions deploy;
 
-  /// Dispatcher threads; each owns one accepted request end-to-end, so
-  /// dispatch_threads × dispatch_chunk bounds cluster-level concurrency
-  /// (queued requests wait for a free dispatcher).
-  int dispatch_threads = 4;
-  /// Tasks a dispatcher pops per wakeup. The chunk's first attempts are
-  /// all started (routed and submitted) before any result is awaited, so
-  /// chunk members coalesce into the same replica batches and the
-  /// dispatcher pays one queue wakeup (and usually one future wait) per
-  /// chunk instead of per request. 1 = one task per wakeup. Retries
-  /// happen one task at a time during the collect pass.
-  int dispatch_chunk = 8;
-
   /// Per-request deadline when submit() is called without one (0 = none).
   int64_t default_timeout_us = 2'000'000;
   /// Per-attempt budget before the attempt is abandoned and re-routed
@@ -110,17 +113,23 @@ struct ClusterOptions {
   int64_t max_backoff_us = 20'000;
 
   /// Admission control: a routable replica with load() at this bound is
-  /// saturated; all routable replicas saturated ⇒ shed (kOverloaded).
-  int64_t max_inflight_per_replica = 64;
-  /// Controller queue bound (accepted, waiting for a dispatcher).
-  int64_t queue_limit = 1024;
+  /// saturated; all routable replicas saturated ⇒ shed (kOverloaded). The
+  /// default leaves room for a few ms of backlog at tens of thousands of
+  /// requests per second — a plan compile for a new batch shape stalls a
+  /// replica that long.
+  int64_t max_inflight_per_replica = 512;
 
   HealthPolicy health;
+  /// Probe round period while a replica is quarantined (a healthy fleet's
+  /// heartbeat sleeps 100 periods; a new quarantine wakes it at once).
   int64_t heartbeat_interval_us = 2000;
   /// Probe budget; a probe slower than this counts as a failed probe.
   int64_t probe_timeout_us = 500'000;
-  /// Canary input for quarantine probes. Unset (empty tensor): the last
-  /// input the cluster served successfully is reused.
+  /// Canary input for quarantine probes; when set, every replica also
+  /// precompiles its shape before it takes traffic (constructor and
+  /// restart). Unset (empty tensor): the last input the cluster served
+  /// successfully is the canary, or before any success the first input it
+  /// accepted.
   Tensor probe_input;
   /// Hot-restart a quarantined replica after this many consecutive failed
   /// probes (auto_restart). The respawned replica still re-earns Healthy
@@ -193,8 +202,9 @@ class ClusterCounters {
 class ClusterController {
  public:
   /// Loads the artifact once, replicates it per replica
-  /// (deploy::replicate), opens each under its per-replica configuration,
-  /// and starts the dispatcher pool + heartbeat.
+  /// (deploy::replicate), opens (and, with probe_input set, warms) each
+  /// under its per-replica configuration, and starts the timer and
+  /// heartbeat threads.
   ClusterController(const std::string& artifact_path, ClusterOptions options);
   ~ClusterController();
   ClusterController(const ClusterController&) = delete;
@@ -209,16 +219,17 @@ class ClusterController {
                                  std::chrono::microseconds timeout);
 
   /// Same, carrying an upstream trace context (serve/trace.h): the cluster
-  /// appends queue-wait/dispatch/resolve spans (the winning replica's
-  /// batcher adds its own), and finishes cluster-owned contexts after the
-  /// task promise resolves. Null `tctx` with tracing enabled self-creates
-  /// one, so direct cluster users get timelines without a ModelServer.
+  /// appends dispatch/resolve spans (the winning replica's batcher adds
+  /// its queue-wait/assembly/execute spans), and finishes cluster-owned
+  /// contexts after the request's promise resolves. Null `tctx` with
+  /// tracing enabled self-creates one, so direct cluster users get
+  /// timelines without a ModelServer.
   std::future<Prediction> submit(Tensor input,
                                  std::chrono::microseconds timeout,
                                  trace::TraceContextPtr tctx);
 
   /// One load-aware power-of-two-choices routing verdict over the current
-  /// fleet state. Public for tests; dispatchers call it per attempt.
+  /// fleet state. Public for tests; every attempt calls it.
   /// `exclude` drops one replica from the candidate pool — retries pass
   /// the replica that just failed them, so a re-route is a *different*
   /// replica whenever any other is routable (the excluded one is used
@@ -228,8 +239,9 @@ class ClusterController {
   /// Manual hot restart of replica i (kill → respawn from the artifact).
   void restart_replica(int i);
 
-  /// Drains queued requests, joins dispatchers + heartbeat, closes the
-  /// replicas. Idempotent; the destructor calls it.
+  /// Rejects new submits, waits until every accepted request resolved,
+  /// joins the timer + heartbeat threads, closes the replicas. Idempotent;
+  /// the destructor calls it.
   void close();
   bool closed() const;
 
@@ -239,71 +251,86 @@ class ClusterController {
   std::vector<NodeMetrics> metrics() const;
   const ClusterCounters& counters() const { return counters_; }
   const ClusterOptions& options() const { return options_; }
-  /// Requests accepted but not yet picked up by a dispatcher.
+  /// Requests queued in the replicas' batchers (summed batcher depth).
   int64_t queue_depth() const;
 
  private:
-  struct Task {
-    Tensor input;
-    std::promise<Prediction> promise;
-    std::chrono::steady_clock::time_point enqueue;
-    /// Absolute deadline (time_point::max() = none).
-    std::chrono::steady_clock::time_point deadline;
-    /// Trace context (null when tracing is off or the request is untraced).
-    trace::TraceContextPtr trace;
+  using Clock = std::chrono::steady_clock;
+  /// One accepted request (defined in cluster.cpp).
+  struct Call;
+  using CallPtr = std::shared_ptr<Call>;
+  /// Timer-thread work: the deadline of attempt `attempt`, or (kRetry) the
+  /// backoff wake-up that starts the call's next attempt.
+  struct TimerEntry {
+    CallPtr call;
+    int attempt;
   };
+  using Timers = std::multimap<Clock::time_point, TimerEntry>;
 
-  /// One started attempt: routed and submitted, not yet awaited.
-  struct Attempt {
-    std::future<Prediction> outcome;
-    RoutingDecision decision;  // decision.replica == -1 ⇒ nothing routable
-    bool dispatched = false;
-    bool expired = false;  // the request's deadline had passed at start
-    std::chrono::steady_clock::time_point start;
-    std::chrono::steady_clock::time_point deadline;  // attempt deadline
-  };
-
-  void dispatcher_loop();
   void heartbeat_loop();
-  /// The one attempt-submission routine: deadline check, route (avoiding
-  /// `exclude`), attempt budget, begin_attempt, Replica::submit and the
-  /// dispatch span. Never blocks on the result.
-  void start_attempt(Task& task, int attempt, int exclude, Attempt& a);
-  /// The retry/backoff state machine for one accepted request, starting
-  /// from its already-started first attempt `a`. Resolves task.promise
-  /// exactly once.
-  void serve_task(Task& task, Attempt& a);
+  void timer_loop();
+  /// The one attempt routine: deadline check, routing verdict, attempt
+  /// budget, begin_attempt, dispatch span, deadline timer and
+  /// Replica::submit with the completion callback. Never blocks on the
+  /// result. Runs on the submitting thread (first attempt) or the timer
+  /// thread (retries).
+  void start_attempt(const CallPtr& call, RoutingDecision decision);
+  /// The completion callback, on the replica's batcher worker.
+  void on_attempt_done(const CallPtr& call, int attempt, int replica,
+                       Prediction result, std::exception_ptr error);
+  /// A claimed attempt failed (`timed_out`: abandoned at its deadline):
+  /// replica health feedback, then retry or the final typed failure.
+  void on_attempt_failed(const CallPtr& call, int replica, bool timed_out);
+  /// Counts the attempt just ended. With attempts left, schedules the next
+  /// one after its backoff and returns true; false when exhausted.
+  bool retry(const CallPtr& call);
+  /// Wins attempt `attempt` of `call` for the caller (exactly once).
+  static bool claim(Call& call, int attempt);
+  void arm(const CallPtr& call, Clock::time_point when, int attempt);
+  void disarm(Call& call);
+  /// Resolve the call's promise (counters first, trace finish after), then
+  /// release it.
+  void succeed(Call& call, Prediction prediction);
+  void fail(Call& call, Status status, const std::string& what);
+  void fail_with(Call& call, std::exception_ptr error, bool timed_out = false);
+  /// One accepted request resolved; wakes close() once none is left.
+  void release();
   /// Attempt deadline: the configured per-attempt budget, or an even
   /// split of the remaining deadline across the remaining attempts.
-  std::chrono::steady_clock::time_point attempt_deadline_for(
-      const Task& task, std::chrono::steady_clock::time_point now,
-      int attempt) const;
+  Clock::time_point attempt_deadline_for(const Call& call,
+                                         Clock::time_point now) const;
   void probe_quarantined();
-  /// A probe input, or an empty tensor when none is available yet.
+  /// The probe canary, or an empty tensor when none is available yet.
   Tensor probe_input();
 
   const ClusterOptions options_;
   const std::string artifact_path_;
   std::vector<std::unique_ptr<Replica>> fleet_;
 
-  mutable std::mutex mutex_;  // queue_ + closed_
-  std::condition_variable cv_;
-  std::deque<Task> queue_;
+  mutable std::mutex mutex_;  // closed_ + active_
   bool closed_ = false;
-
-  std::vector<std::thread> dispatchers_;
-  std::thread heartbeat_;
-  /// Separate from cv_ so per-submit notifications don't wake the
-  /// heartbeat into premature probe rounds (waits on mutex_ too).
+  int64_t active_ = 0;  // accepted requests not yet resolved
+  std::condition_variable drained_cv_;
+  /// Heartbeat wake-ups (waits on mutex_ too).
   std::condition_variable hb_cv_;
+  std::thread heartbeat_;
   std::mutex join_mutex_;  // serializes concurrent close() calls
+
+  std::mutex timer_mutex_;  // timers_, timer_wake_, timer_stop_, Call::timer
+  std::condition_variable timer_cv_;
+  Timers timers_;
+  /// When the sleeping timer thread wakes by itself: arming an earlier
+  /// entry notifies it, a later one does not.
+  Clock::time_point timer_wake_ = Clock::time_point::max();
+  bool timer_stop_ = false;
+  std::thread timer_;
 
   /// Rotates the power-of-two candidate draw across route() calls.
   mutable std::atomic<uint64_t> route_counter_{0};
 
   std::mutex probe_mutex_;
-  Tensor last_good_input_;  // falls back as the probe canary
-  bool have_last_good_ = false;
+  Tensor canary_;  // last good input, or the first accepted before that
+  std::atomic<bool> have_canary_{false};
 
   ClusterCounters counters_;
 };

@@ -28,31 +28,39 @@ const char* health_state_name(HealthState state) {
 
 Replica::Replica(int id, std::unique_ptr<InferenceSession> session,
                  std::string artifact_path, deploy::DeployOptions options,
-                 HealthPolicy policy)
+                 HealthPolicy policy, Shape warm_shape)
     : id_(id),
       artifact_path_(std::move(artifact_path)),
       options_(std::move(options)),
-      policy_(policy) {
+      policy_(policy),
+      warm_shape_(std::move(warm_shape)) {
   RIPPLE_CHECK(session != nullptr) << "Replica: null session";
+  if (!warm_shape_.empty()) session->precompile(warm_shape_);
   session_ = std::move(session);
   batcher_ = std::make_unique<AsyncBatcher>(*session_);
 }
 
 Replica::~Replica() { close(); }
 
-std::future<Prediction> Replica::submit(Tensor input,
-                                        std::chrono::microseconds timeout) {
-  return submit(std::move(input), timeout, nullptr);
-}
-
-std::future<Prediction> Replica::submit(Tensor input,
-                                        std::chrono::microseconds timeout,
-                                        trace::TraceContextPtr tctx) {
+void Replica::submit(Tensor input,
+                     std::chrono::steady_clock::time_point deadline,
+                     trace::TraceContextPtr tctx,
+                     AsyncBatcher::Completion done) {
   std::shared_lock lock(session_mutex_);
   if (!batcher_) {
     throw ServeError(Status::kClosed, "Replica::submit after close()");
   }
-  return batcher_->submit(std::move(input), timeout, std::move(tctx));
+  batcher_->submit(std::move(input), deadline, std::move(tctx),
+                   std::move(done));
+}
+
+std::future<Prediction> Replica::submit(Tensor input,
+                                        std::chrono::microseconds timeout) {
+  std::shared_lock lock(session_mutex_);
+  if (!batcher_) {
+    throw ServeError(Status::kClosed, "Replica::submit after close()");
+  }
+  return batcher_->submit(std::move(input), timeout);
 }
 
 void Replica::set_forward_hook(std::function<void(int64_t)> hook) {
@@ -65,12 +73,7 @@ void Replica::set_forward_hook(std::function<void(int64_t)> hook) {
 }
 
 int64_t Replica::load() const {
-  int64_t depth = 0;
-  {
-    std::shared_lock lock(session_mutex_);
-    if (batcher_) depth = batcher_->counters().queue_depth();
-  }
-  return inflight_.load(std::memory_order_relaxed) + depth;
+  return inflight_.load(std::memory_order_relaxed);
 }
 
 HealthState Replica::state() const {
@@ -175,16 +178,26 @@ void Replica::on_probe_failure() {
 }
 
 void Replica::restart() {
-  std::unique_lock lock(session_mutex_);
-  if (batcher_) batcher_->close();  // drain: pre-restart futures resolve
-  batcher_.reset();
-  session_.reset();
-  session_ = InferenceSession::open(artifact_path_, options_);
-  batcher_ = std::make_unique<AsyncBatcher>(*session_);
+  // Open and warm the respawn before taking the lock: submits keep landing
+  // on the old batcher meanwhile, and are excluded only for the swap.
+  std::unique_ptr<InferenceSession> session =
+      InferenceSession::open(artifact_path_, options_);
+  if (!warm_shape_.empty()) session->precompile(warm_shape_);
+  auto batcher = std::make_unique<AsyncBatcher>(*session);
   {
-    std::lock_guard hook_lock(hook_mutex_);
-    if (hook_) batcher_->set_forward_hook(hook_);
+    std::unique_lock lock(session_mutex_);
+    {
+      std::lock_guard hook_lock(hook_mutex_);
+      if (hook_) batcher->set_forward_hook(hook_);
+    }
+    std::swap(session_, session);
+    std::swap(batcher_, batcher);
   }
+  // Drain the old batcher (requests accepted before the restart resolve),
+  // then drop the session it served from.
+  if (batcher) batcher->close();
+  batcher.reset();
+  session.reset();
   restarts_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard state_lock(state_mutex_);
   consecutive_failures_ = 0;
@@ -194,9 +207,12 @@ void Replica::restart() {
 }
 
 void Replica::close() {
-  std::unique_lock lock(session_mutex_);
-  if (batcher_) batcher_->close();
-  batcher_.reset();
+  std::unique_ptr<AsyncBatcher> batcher;
+  {
+    std::unique_lock lock(session_mutex_);
+    batcher = std::move(batcher_);
+  }
+  if (batcher) batcher->close();
 }
 
 const InferenceSession& Replica::session() const {

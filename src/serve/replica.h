@@ -8,8 +8,9 @@
 // it carries the observable state the ClusterController's routing and
 // self-healing read:
 //
-//   • load — controller-dispatched in-flight attempts plus the batcher's
-//     queue depth, the signal power-of-two-choices routing compares;
+//   • load — controller attempts routed here and not yet completed by the
+//     batcher (queued or executing), the signal power-of-two-choices
+//     routing and admission control compare;
 //   • latency — per-replica EWMA and the batcher's log2 histogram
 //     (p50/p95/p99 via serve/metrics.h);
 //   • health — Healthy → Degraded → Quarantined, driven by runs of
@@ -19,16 +20,17 @@
 //     replicas receive no traffic and recover only through controller
 //     probes — or through restart().
 //
-// restart() is the kill-and-respawn path: the batcher drains, the session
-// is destroyed, and a fresh session is opened from the artifact under the
-// same per-replica configuration. In-flight futures from before the
-// restart still complete (drain semantics); the installed forward hook is
-// re-installed on the new batcher so chaos harnesses keep their grip on a
-// respawned replica.
+// restart() is the kill-and-respawn path: a fresh session is opened from
+// the artifact under the same per-replica configuration (and warmed on the
+// replica's warm shape, when it has one), swapped in, and only then is the
+// old batcher drained and the old session destroyed. Requests accepted
+// before the restart still complete (drain semantics); the installed
+// forward hook is re-installed on the new batcher so chaos harnesses keep
+// their grip on a respawned replica.
 //
 // Thread safety: submit()/metrics()/the on_* feedback hooks may be called
-// from any thread; restart() excludes submits for its duration (callers
-// block briefly, then land on the fresh batcher).
+// from any thread; restart() and close() exclude submits only for the
+// pointer swap, never for a session open or a drain.
 #pragma once
 
 #include <chrono>
@@ -70,7 +72,7 @@ struct HealthPolicy {
 struct NodeMetrics {
   int id = 0;
   HealthState state = HealthState::kHealthy;
-  int64_t inflight = 0;     // controller attempts dispatched, unresolved
+  int64_t inflight = 0;     // controller attempts routed, not completed
   int64_t queue_depth = 0;  // batcher queue behind them
   double ewma_latency_us = 0.0;
   double p50_latency_us = 0.0;
@@ -102,32 +104,36 @@ struct NodeMetrics {
 class Replica {
  public:
   /// Takes ownership of an open session; `artifact_path` + `options` are
-  /// kept for restart() to respawn an identically-configured session.
+  /// kept for restart() to respawn an identically-configured session. A
+  /// non-empty `warm_shape` is precompiled (InferenceSession::precompile)
+  /// before this replica, or any respawn of it, takes traffic.
   Replica(int id, std::unique_ptr<InferenceSession> session,
           std::string artifact_path, deploy::DeployOptions options,
-          HealthPolicy policy);
+          HealthPolicy policy, Shape warm_shape = {});
   ~Replica();
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
 
   int id() const { return id_; }
 
-  /// Routes one request into this replica's batcher under a hard deadline
-  /// (serve/batcher.h). Throws ServeError{kClosed} after close().
+  /// Routes one request into this replica's batcher under the absolute
+  /// hard deadline `deadline`, forwarding an upstream trace context
+  /// (cluster-owned contexts pick up the batcher's queue-wait/execute
+  /// spans without the batcher finishing them). `done` runs on the
+  /// batcher's worker (AsyncBatcher::Completion). Throws
+  /// ServeError{kClosed} after close().
+  void submit(Tensor input, std::chrono::steady_clock::time_point deadline,
+              trace::TraceContextPtr tctx, AsyncBatcher::Completion done);
+  /// Future-returning form under a hard deadline `timeout` from now
+  /// (probes, tests).
   std::future<Prediction> submit(Tensor input,
                                  std::chrono::microseconds timeout);
-  /// Same, forwarding an upstream trace context into the batcher
-  /// (serve/trace.h) — cluster-owned contexts pick up this replica's
-  /// queue-wait/execute/resolve spans without the batcher finishing them.
-  std::future<Prediction> submit(Tensor input,
-                                 std::chrono::microseconds timeout,
-                                 trace::TraceContextPtr tctx);
 
   /// Worker-side chaos/instrumentation seam, forwarded to the batcher and
   /// re-installed across restart() (AsyncBatcher::set_forward_hook).
   void set_forward_hook(std::function<void(int64_t rows)> hook);
 
-  /// Routing load signal: in-flight attempts + batcher queue depth.
+  /// Routing load signal: controller attempts in flight here.
   int64_t load() const;
   /// Saturation check against the controller's per-replica bound.
   bool saturated(int64_t max_inflight) const {
@@ -142,7 +148,10 @@ class Replica {
   int consecutive_probe_failures() const;
 
   // ---- controller feedback --------------------------------------------------
-  /// Brackets one dispatched attempt (inflight accounting).
+  /// Brackets one routed attempt, from before its submit until the
+  /// batcher completes it — also when the controller abandoned it at its
+  /// deadline, since the replica still holds the work (inflight
+  /// accounting).
   void begin_attempt();
   void end_attempt();
   /// Attempt resolved with a result: clears the failure run, feeds the
@@ -155,10 +164,11 @@ class Replica {
   void on_probe_success();
   void on_probe_failure();
 
-  /// Kill → respawn: drains the batcher, destroys the session, reopens a
-  /// fresh one from the artifact under the same options. A Quarantined
-  /// replica stays quarantined (recovery is the probes' verdict, not the
-  /// restart's); otherwise the replica comes back Healthy.
+  /// Kill → respawn: opens (and warms) a fresh session from the artifact
+  /// under the same options, swaps it in, then drains the old batcher and
+  /// destroys the old session. A Quarantined replica stays quarantined
+  /// (recovery is the probes' verdict, not the restart's); otherwise the
+  /// replica comes back Healthy.
   void restart();
 
   /// Drains and joins the batcher; submits afterwards are rejected.
@@ -173,8 +183,10 @@ class Replica {
   const std::string artifact_path_;
   const deploy::DeployOptions options_;
   const HealthPolicy policy_;
+  const Shape warm_shape_;
 
-  /// restart() excludes submits/metrics while it swaps session + batcher.
+  /// restart()/close() exclude submits/metrics while they swap the
+  /// session + batcher pointers.
   mutable std::shared_mutex session_mutex_;
   std::unique_ptr<InferenceSession> session_;
   std::unique_ptr<AsyncBatcher> batcher_;

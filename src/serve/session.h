@@ -100,17 +100,20 @@ struct SessionOptions {
   bool compile = true;
 
   // ---- AsyncBatcher knobs (serve/batcher.h) --------------------------------
-  /// Dispatch a coalesced batch as soon as this many requests are queued…
+  /// Most requests one coalesced batch takes. An idle worker dispatches
+  /// whatever is queued, up to this cap (and batch_max_rows).
   int batch_max_requests = 16;
-  /// …or once the oldest queued request has waited this long (the request's
-  /// deadline). 0 dispatches immediately (no coalescing beyond what is
-  /// already queued when a worker wakes).
-  int64_t batch_max_delay_us = 1000;
-  /// Rows-based sizing for mixed-size traffic: a batch also dispatches
-  /// once the queued same-shape rows reach this bound, and coalescing
-  /// stops adding requests that would push the dispatched rows past it
-  /// (a single oversized request still dispatches alone). 0 = requests
-  /// only.
+  /// Coalescing floor. 0 (default): work-conserving — an idle worker
+  /// dispatches at once, and batches form only from requests queued while
+  /// every worker is busy. > 0: a batch also waits until
+  /// batch_max_requests are queued or the oldest queued request has
+  /// waited this long (never past a request's hard deadline).
+  int64_t batch_max_delay_us = 0;
+  /// Rows-based sizing for mixed-size traffic: coalescing stops adding
+  /// requests that would push the dispatched rows past this bound (a
+  /// single oversized request still dispatches alone), and under a
+  /// coalescing floor a batch also dispatches once this many rows are
+  /// queued. 0 = requests only.
   int64_t batch_max_rows = 0;
   /// Worker threads draining the batcher queue.
   int batcher_threads = 1;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -550,6 +551,75 @@ TEST(BatcherDeadline, ShortHardDeadlineBehindLongFrontIsHonored) {
   batcher.close();
   EXPECT_EQ(batcher.counters().timeouts(), 1u);
   EXPECT_EQ(batcher.counters().completed(), 2u);
+}
+
+TEST(BatcherWorkConserving, IdleWorkerDispatchesAloneBusyWorkerCoalesces) {
+  // Default options: no coalescing floor. A request that finds the worker
+  // idle goes out at once, alone; requests that queue while the only
+  // worker is inside a forward go out together as its next batch, capped
+  // at batch_max_requests.
+  models::LstmForecaster model({.hidden = 8, .window = 8}, proposed());
+  SessionOptions opts;
+  ASSERT_EQ(opts.batch_max_delay_us, 0);
+  ASSERT_EQ(opts.batcher_threads, 1);
+  opts.task = TaskKind::kRegression;
+  opts.mc_samples = 3;
+  opts.seed = 91;
+  InferenceSession session(model, opts);
+  const int64_t cap = opts.batch_max_requests;
+  Rng rng(17);
+  std::vector<Tensor> inputs;
+  std::vector<Prediction> oracle;
+  for (int64_t i = 0; i < cap + 3; ++i) {
+    inputs.push_back(Tensor::randn({1, 8, 1}, rng));
+    oracle.push_back(session.predict(inputs.back()));
+  }
+
+  AsyncBatcher batcher(session);
+  std::mutex mu;
+  std::vector<int64_t> forwards;  // rows per dispatched forward
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  batcher.set_forward_hook([&](int64_t rows) {
+    size_t n = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      forwards.push_back(rows);
+      n = forwards.size();
+    }
+    // Hold the second forward until every follower is queued.
+    if (n == 2) {
+      entered.set_value();
+      released.wait();
+    }
+  });
+
+  // 1. Idle worker: served alone, without waiting for company.
+  EXPECT_TRUE(predictions_equal(batcher.submit(inputs[0]).get(), oracle[0]));
+  // 2. Busy worker: the held request, then cap + 2 followers queued
+  //    behind it.
+  std::vector<std::future<Prediction>> futures;
+  futures.push_back(batcher.submit(inputs[1]));
+  entered.get_future().wait();
+  for (int64_t i = 2; i < cap + 3; ++i)
+    futures.push_back(batcher.submit(inputs[static_cast<size_t>(i)]));
+  EXPECT_EQ(batcher.counters().queue_depth(), cap + 1);
+  release.set_value();
+  for (size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_TRUE(predictions_equal(futures[i].get(), oracle[i + 1]))
+        << "request " << i + 1;
+  }
+  batcher.close();
+
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(forwards, (std::vector<int64_t>{1, 1, cap, 1}));
+  const BatcherCounters& c = batcher.counters();
+  EXPECT_EQ(c.submitted(), static_cast<uint64_t>(cap + 3));
+  EXPECT_EQ(c.completed(), c.submitted());
+  EXPECT_EQ(c.batches(), 4u);
+  EXPECT_EQ(c.max_batch_requests(), static_cast<uint64_t>(cap));
+  EXPECT_EQ(c.queue_depth(), 0);
 }
 
 TEST(LatencyHistogramTest, BucketsAndPercentiles) {

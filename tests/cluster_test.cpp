@@ -92,7 +92,6 @@ ClusterOptions cluster_options(int replicas) {
   session.batch_max_delay_us = 200;
   session.batcher_threads = 1;
   opts.deploy.session = session;
-  opts.dispatch_threads = 3;
   opts.default_timeout_us = 10'000'000;
   opts.max_attempts = 3;
   opts.retry_backoff_us = 200;
@@ -274,8 +273,6 @@ TEST(Cluster, StalledReplicaCostsOneAttemptNotTheDeadline) {
 TEST(Cluster, OverloadShedsWithTypedStatus) {
   ClusterOptions opts = cluster_options(2);
   opts.probe_input = test_input(7);
-  opts.dispatch_threads = 2;
-  opts.queue_limit = 2;
   opts.max_inflight_per_replica = 2;
   opts.max_attempts = 8;  // accepted work rides out the saturation window
   opts.retry_backoff_us = 2'000;
@@ -284,7 +281,8 @@ TEST(Cluster, OverloadShedsWithTypedStatus) {
   const Tensor x = test_input(8);
 
   // Both replicas slow: every forward takes ~60 ms, so a tight burst of
-  // submits saturates the dispatchers and fills the controller queue.
+  // submits puts max_inflight_per_replica attempts on each replica, and
+  // the rest of the burst finds every routable replica saturated.
   for (int i = 0; i < cluster.replicas(); ++i) {
     cluster.replica(i).set_forward_hook([](int64_t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(60));
@@ -353,6 +351,97 @@ TEST(Cluster, AutoRestartRespawnsACrashLoopedReplica) {
   cluster.close();
 }
 
+TEST(Cluster, FleetQuarantinedBeforeAnySuccessHealsOnTheFirstInput) {
+  // probe_input unset (the default) and nothing served yet: the canary is
+  // the first input the cluster accepted, so a fleet quarantined before
+  // its first success still gets probed back to Healthy.
+  ClusterOptions opts = cluster_options(2);
+  ASSERT_FALSE(opts.probe_input.defined());
+  opts.auto_restart = false;  // recovery through probes alone
+  ClusterController cluster(artifact_path(), opts);
+  const Tensor x = test_input(14);
+
+  // Both replicas crash every forward (probes included) until both are
+  // quarantined — within the first 4 requests — then the hooks clear.
+  for (int i = 0; i < 2; ++i) {
+    cluster.replica(i).set_forward_hook(
+        [](int64_t) { throw std::runtime_error("chaos: crash"); });
+  }
+  for (int i = 0; i < 4; ++i) {
+    if (cluster.replica(0).state() == HealthState::kQuarantined &&
+        cluster.replica(1).state() == HealthState::kQuarantined)
+      break;
+    EXPECT_THROW(cluster.submit(x).get(), ServeError) << "request " << i;
+  }
+  ASSERT_EQ(cluster.replica(0).state(), HealthState::kQuarantined);
+  ASSERT_EQ(cluster.replica(1).state(), HealthState::kQuarantined);
+  EXPECT_EQ(cluster.counters().succeeded(), 0u);
+  for (int i = 0; i < 2; ++i) cluster.replica(i).set_forward_hook({});
+
+  // Healthy within probe_successes + 1 probe rounds per replica: one
+  // round may straddle the hook change, then the successes it takes.
+  const uint64_t probes_before = cluster.counters().probes();
+  EXPECT_TRUE(eventually([&] {
+    return cluster.replica(0).state() == HealthState::kHealthy &&
+           cluster.replica(1).state() == HealthState::kHealthy;
+  })) << "the fleet did not heal without probe_input";
+  EXPECT_LE(cluster.counters().probes() - probes_before,
+            static_cast<uint64_t>((opts.health.probe_successes + 1) *
+                                  cluster.replicas()));
+
+  // The next request serves bit-exactly against its replica's oracle.
+  std::vector<Prediction> oracles;
+  for (int i = 0; i < cluster.replicas(); ++i)
+    oracles.push_back(cluster.replica(i).session().predict(x));
+  const Prediction got = cluster.submit(x).get();
+  EXPECT_TRUE(regressions_equal(got, oracles[0]) ||
+              regressions_equal(got, oracles[1]));
+  cluster.close();
+}
+
+TEST(Cluster, CloseResolvesRequestsWaitingOutTheirBackoff) {
+  // Every first attempt crashes; the retries wait out a 200 ms backoff on
+  // the timer thread. close() in that window must still resolve every
+  // accepted future — here with a result, since the chaos stops first.
+  ClusterOptions opts = cluster_options(2);
+  opts.probe_input = test_input(15);
+  opts.retry_backoff_us = 200'000;
+  opts.max_backoff_us = 200'000;
+  opts.health.degraded_after = 1'000;  // stay routable for the retries
+  opts.health.quarantine_after = 1'000;
+  ClusterController cluster(artifact_path(), opts);
+  const Tensor x = test_input(16);
+  std::vector<Prediction> oracles;
+  for (int i = 0; i < cluster.replicas(); ++i)
+    oracles.push_back(cluster.replica(i).session().predict(x));
+
+  std::atomic<bool> crashing{true};
+  for (int i = 0; i < cluster.replicas(); ++i) {
+    cluster.replica(i).set_forward_hook([&](int64_t) {
+      if (crashing.load()) throw std::runtime_error("chaos: crash");
+    });
+  }
+  constexpr int kRequests = 6;
+  std::vector<std::future<Prediction>> futures;
+  for (int i = 0; i < kRequests; ++i) futures.push_back(cluster.submit(x));
+  ASSERT_TRUE(eventually([&] {
+    return cluster.counters().retries() >= static_cast<uint64_t>(kRequests);
+  }));
+  crashing.store(false);
+  cluster.close();
+
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+        << "close() returned before every accepted request resolved";
+    const Prediction got = f.get();
+    EXPECT_TRUE(regressions_equal(got, oracles[0]) ||
+                regressions_equal(got, oracles[1]));
+  }
+  const auto& c = cluster.counters();
+  EXPECT_EQ(c.submitted(), static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(c.succeeded(), c.submitted());
+}
+
 TEST(Cluster, ManualRestartKeepsServingBitExact) {
   ClusterOptions opts = cluster_options(2);
   opts.probe_input = test_input(11);
@@ -375,6 +464,7 @@ TEST(Cluster, RoutingPrefersLowerLoadAndSkipsQuarantined) {
   ClusterOptions opts = cluster_options(3);
   opts.probe_input = test_input(13);
   opts.auto_restart = false;
+  opts.max_inflight_per_replica = 64;  // the 100 pinned attempts saturate
   ClusterController cluster(artifact_path(), opts);
 
   // Pin load onto replica 0: power-of-two-choices must never pick it over
@@ -439,7 +529,6 @@ void run_chaos_sweep(int replicas, Chaos chaos) {
   ClusterOptions opts = cluster_options(replicas);
   opts.probe_input = test_input(20);
   opts.attempt_timeout_us = 30'000;
-  opts.dispatch_threads = 4;
   ClusterController cluster(artifact_path(), opts);
 
   // Three distinct request tensors and their per-replica oracles.

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "imc/crossbar.h"
@@ -26,6 +27,7 @@
 #include "models/unet.h"
 #include "models/zoo.h"
 #include "serve/session.h"
+#include "tensor/check.h"
 
 namespace ripple {
 namespace {
@@ -676,70 +678,108 @@ TEST(ArtifactFormat, RetiredAdaptiveByteAndAutoPolicyServeTheSameBits) {
 
 TEST(ArtifactFormat, OutOfRangeEnumFieldsAreRejected) {
   // Every int32 enum in the descriptor is range-checked on load; the
-  // error names the field. The writer takes a cast value as given, so the
-  // session-option fields are corrupted through it, and the variant fields
-  // by patching the byte a differing save locates.
+  // error names the field. The writer refuses out-of-range values, so each
+  // corrupt file is made by patching the byte a differing save locates.
   using models::Variant;
+  const models::M5::Topology topology{
+      .classes = 8, .width = 4, .input_length = 256};
+  const models::VariantConfig proposed_variant = {
+      .variant = Variant::kProposed};
+  const SessionOptions good = options_for(TaskKind::kClassification);
+  const auto save_v2 = [&](const models::VariantConfig& variant,
+                           const SessionOptions& session) {
+    models::M5 model(topology, variant);
+    model.set_training(false);
+    model.deploy();
+    // Version 2 has no manifest framing, so the first differing byte is
+    // the field itself rather than a body-length prefix.
+    const std::string path = temp_path("enum_probe.rpla");
+    deploy::save_artifact(model, path, session, /*version=*/2);
+    return read_file(path);
+  };
+  const std::vector<char> base = save_v2(proposed_variant, good);
+
+  struct Field {
+    const char* name;
+    models::VariantConfig variant;
+    SessionOptions session;
+    char corrupt;  // out-of-range value patched into the field's low byte
+  };
+  models::VariantConfig spin = {.variant = Variant::kSpinDrop};
+  models::VariantConfig uniform = proposed_variant;
+  uniform.init.kind = core::AffineInit::Kind::kUniform;
+  models::VariantConfig element = proposed_variant;
+  element.granularity = core::DropGranularity::kElementWise;
+  SessionOptions regression = good;
+  regression.task = TaskKind::kRegression;
+  SessionOptions serial = good;
+  serial.policy = serve::ExecutionPolicy::kSerial;
+  for (const Field& f :
+       {Field{"variant", spin, good, 7},
+        Field{"affine-init kind", uniform, good, 7},
+        Field{"drop granularity", element, good, 7},
+        Field{"task", proposed_variant, regression, 7},
+        Field{"policy", proposed_variant, serial, 9}}) {
+    SCOPED_TRACE(f.name);
+    const size_t at = first_difference(base, save_v2(f.variant, f.session));
+    ASSERT_LT(at, base.size());
+    std::vector<char> bytes = base;
+    bytes[at] = f.corrupt;
+    const std::string path = temp_path("enum_corrupt.rpla");
+    write_file(path, bytes);
+    try {
+      deploy::load_artifact(path);
+      FAIL() << "an out-of-range " << f.name << " must be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(f.name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ArtifactFormat, WriterRejectsOutOfRangeEnumFields) {
+  // The writer checks the fields the reader checks, under the same names,
+  // and fails before it creates or truncates the file: a bad value is the
+  // caller's mistake, reported at save time rather than at the next load.
   models::M5 model({.classes = 8, .width = 4, .input_length = 256},
-                   {.variant = Variant::kProposed});
+                   {.variant = models::Variant::kProposed});
   model.set_training(false);
   model.deploy();
   const SessionOptions good = options_for(TaskKind::kClassification);
-  const auto expect_rejected = [](const std::string& path,
-                                  const std::string& field) {
+  SessionOptions bad_task = good;
+  bad_task.task = static_cast<TaskKind>(7);
+  SessionOptions bad_policy = good;
+  bad_policy.policy = static_cast<serve::ExecutionPolicy>(9);
+  const std::string path = temp_path("enum_writer.rpla");
+  for (const auto& [field, options] :
+       {std::pair<const char*, SessionOptions>{"task", bad_task},
+        std::pair<const char*, SessionOptions>{"policy", bad_policy}}) {
+    SCOPED_TRACE(field);
+    std::filesystem::remove(path);
     try {
-      deploy::load_artifact(path);
-      FAIL() << "an out-of-range " << field << " must be rejected";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+      deploy::save_artifact(model, path, options);
+      FAIL() << "save_artifact wrote an out-of-range " << field;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(field) + " value"),
+                std::string::npos)
           << e.what();
     }
-  };
-
-  const std::string task_path = temp_path("enum_task.rpla");
-  SessionOptions bad = good;
-  bad.task = static_cast<TaskKind>(7);
-  deploy::save_artifact(model, task_path, bad);
-  expect_rejected(task_path, "task");
-
-  const std::string policy_path = temp_path("enum_policy.rpla");
-  bad = good;
-  bad.policy = static_cast<serve::ExecutionPolicy>(9);
-  deploy::save_artifact(model, policy_path, bad);
-  expect_rejected(policy_path, "policy");
-
-  // Version 2 has no manifest framing, so the first differing byte is the
-  // field itself rather than a body-length prefix.
-  const std::string base_path = temp_path("enum_base.rpla");
-  deploy::save_artifact(model, base_path, good, /*version=*/2);
-  const std::vector<char> base = read_file(base_path);
-  struct VariantField {
-    const char* name;
-    models::VariantConfig differing;
-  };
-  models::VariantConfig spin = {.variant = Variant::kSpinDrop};
-  models::VariantConfig uniform = {.variant = Variant::kProposed};
-  uniform.init.kind = core::AffineInit::Kind::kUniform;
-  models::VariantConfig element = {.variant = Variant::kProposed};
-  element.granularity = core::DropGranularity::kElementWise;
-  for (const VariantField& f : {VariantField{"variant", spin},
-                                VariantField{"affine-init kind", uniform},
-                                VariantField{"drop granularity", element}}) {
-    SCOPED_TRACE(f.name);
-    models::M5 other({.classes = 8, .width = 4, .input_length = 256},
-                     f.differing);
-    other.set_training(false);
-    other.deploy();
-    const std::string other_path = temp_path("enum_other.rpla");
-    deploy::save_artifact(other, other_path, good, /*version=*/2);
-    const size_t at = first_difference(base, read_file(other_path));
-    ASSERT_LT(at, base.size());
-    std::vector<char> bytes = base;
-    bytes[at] = 7;
-    const std::string path = temp_path("enum_variant.rpla");
-    write_file(path, bytes);
-    expect_rejected(path, f.name);
+    EXPECT_FALSE(std::filesystem::exists(path));
+    try {
+      deploy::save_manifest({{.name = "m", .model = &model,
+                              .session_defaults = options}},
+                            path);
+      FAIL() << "save_manifest wrote an out-of-range " << field;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(field) + " value"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(std::filesystem::exists(path));
   }
+  // In-range values still save and load.
+  deploy::save_artifact(model, path, good);
+  EXPECT_NO_THROW(deploy::load_artifact(path));
 }
 
 TEST(ArtifactFormat, RejectsUnwritableVersions) {
