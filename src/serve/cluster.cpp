@@ -22,9 +22,6 @@ constexpr int kRetry = -1;
 /// (attempt deadlines are usually hundreds of ms out) do not, so an idle
 /// fleet's timer thread costs a wake-up per tick, not one per request.
 constexpr auto kTimerIdleTick = std::chrono::milliseconds(50);
-/// Heartbeat intervals a fleet with no quarantined replica sleeps between
-/// rounds.
-constexpr int kIdleBeats = 100;
 
 int64_t us_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration_cast<std::chrono::microseconds>(to - from)
@@ -69,7 +66,13 @@ struct ClusterController::Call {
 
 ClusterController::ClusterController(const std::string& artifact_path,
                                      ClusterOptions options)
-    : options_(std::move(options)), artifact_path_(artifact_path) {
+    : options_(std::move(options)),
+      max_inflight_(options_.max_inflight_per_replica > 0
+                        ? options_.max_inflight_per_replica
+                        : (ClusterOptions::kFleetInflight +
+                           std::max(options_.replicas, 1) - 1) /
+                              std::max(options_.replicas, 1)),
+      artifact_path_(artifact_path) {
   RIPPLE_CHECK(options_.replicas >= 1) << "ClusterController: replicas >= 1";
   RIPPLE_CHECK(options_.max_attempts >= 1)
       << "ClusterController: max_attempts >= 1";
@@ -183,7 +186,7 @@ RoutingDecision ClusterController::route(int exclude) const {
     const HealthState s = fleet_[i]->state();
     if (s == HealthState::kQuarantined) continue;
     any_routable = true;
-    if (fleet_[i]->saturated(options_.max_inflight_per_replica)) continue;
+    if (fleet_[i]->saturated(max_inflight_)) continue;
     (i == exclude ? excluded
      : s == HealthState::kHealthy ? healthy
                                   : degraded)
@@ -340,12 +343,6 @@ void ClusterController::on_attempt_done(const CallPtr& call, int attempt,
 void ClusterController::on_attempt_failed(const CallPtr& call, int replica,
                                           bool timed_out) {
   fleet_[replica]->on_failure(timed_out);
-  if (fleet_[replica]->state() == HealthState::kQuarantined) {
-    // Start probing now. Taking mutex_ orders this against the heartbeat's
-    // check-then-wait, so the wake-up cannot fall in between.
-    { std::lock_guard lock(mutex_); }
-    hb_cv_.notify_all();
-  }
   call->last_failed = replica;
   if (retry(call)) return;
   const std::string n = std::to_string(call->attempt);
@@ -462,14 +459,7 @@ void ClusterController::heartbeat_loop() {
       std::chrono::microseconds(options_.heartbeat_interval_us);
   std::unique_lock lock(mutex_);
   while (!closed_) {
-    // Beat every interval while a replica is quarantined; a healthy fleet
-    // sleeps kIdleBeats intervals (a quarantine wakes it early).
-    const bool probing = std::any_of(
-        fleet_.begin(), fleet_.end(), [](const std::unique_ptr<Replica>& r) {
-          return r->state() == HealthState::kQuarantined;
-        });
-    hb_cv_.wait_for(lock, probing ? interval : kIdleBeats * interval,
-                    [&] { return closed_; });
+    hb_cv_.wait_for(lock, interval, [&] { return closed_; });
     if (closed_) return;
     lock.unlock();
     probe_quarantined();

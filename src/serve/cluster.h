@@ -40,7 +40,8 @@
 //     replica health untouched.
 //
 //   • Admission control sheds load instead of collapsing: when every
-//     routable replica is saturated (load ≥ max_inflight_per_replica),
+//     routable replica is saturated (load ≥ max_inflight_per_replica,
+//     by default 1024 split across the fleet),
 //     submit() returns an already-failed future with
 //     ServeError{kOverloaded} — the caller hears "back off" in
 //     microseconds rather than a timeout later. If *no* replica is
@@ -113,15 +114,16 @@ struct ClusterOptions {
   int64_t max_backoff_us = 20'000;
 
   /// Admission control: a routable replica with load() at this bound is
-  /// saturated; all routable replicas saturated ⇒ shed (kOverloaded). The
-  /// default leaves room for a few ms of backlog at tens of thousands of
-  /// requests per second — a plan compile for a new batch shape stalls a
-  /// replica that long.
-  int64_t max_inflight_per_replica = 512;
+  /// saturated; all routable replicas saturated ⇒ shed (kOverloaded).
+  /// 0 (default): kFleetInflight split evenly across the replicas, so the
+  /// fleet admits that many requests in flight whatever its size.
+  int64_t max_inflight_per_replica = 0;
+  /// The fleet-wide in-flight bound behind the default above: the bound
+  /// of the controller queue that requests used to wait in before a
+  /// dispatcher thread took them.
+  static constexpr int64_t kFleetInflight = 1024;
 
   HealthPolicy health;
-  /// Probe round period while a replica is quarantined (a healthy fleet's
-  /// heartbeat sleeps 100 periods; a new quarantine wakes it at once).
   int64_t heartbeat_interval_us = 2000;
   /// Probe budget; a probe slower than this counts as a failed probe.
   int64_t probe_timeout_us = 500'000;
@@ -304,6 +306,8 @@ class ClusterController {
   Tensor probe_input();
 
   const ClusterOptions options_;
+  /// max_inflight_per_replica, with the 0 default resolved.
+  const int64_t max_inflight_;
   const std::string artifact_path_;
   std::vector<std::unique_ptr<Replica>> fleet_;
 
@@ -311,7 +315,7 @@ class ClusterController {
   bool closed_ = false;
   int64_t active_ = 0;  // accepted requests not yet resolved
   std::condition_variable drained_cv_;
-  /// Heartbeat wake-ups (waits on mutex_ too).
+  /// Wakes the heartbeat at close() (waits on mutex_ too).
   std::condition_variable hb_cv_;
   std::thread heartbeat_;
   std::mutex join_mutex_;  // serializes concurrent close() calls

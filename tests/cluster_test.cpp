@@ -242,6 +242,44 @@ TEST(Cluster, CrashingReplicaQuarantinesAndTrafficFailsOver) {
             c.submitted());
 }
 
+TEST(Cluster, QuarantineInAHealthyFleetIsProbedWithinAFewBeats) {
+  ClusterOptions opts = cluster_options(2);
+  opts.probe_input = test_input(3);
+  opts.heartbeat_interval_us = 2'000;
+  opts.auto_restart = false;
+  ClusterController cluster(artifact_path(), opts);
+  const Tensor x = test_input(4);
+
+  // A healthy fleet idles for several beats before anything goes wrong.
+  cluster.submit(x).get();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(cluster.counters().probes(), 0u);
+
+  cluster.replica(0).set_forward_hook(
+      [](int64_t) { throw std::runtime_error("chaos: crash"); });
+  for (int i = 0; i < 20 && cluster.replica(0).state() !=
+                                HealthState::kQuarantined;
+       ++i) {
+    EXPECT_NO_THROW(cluster.submit(x).get()) << "request " << i;
+  }
+  ASSERT_EQ(cluster.replica(0).state(), HealthState::kQuarantined);
+
+  // The first probe of the new quarantine comes within a few heartbeat
+  // intervals, not after some longer idle sleep.
+  const auto quarantined = std::chrono::steady_clock::now();
+  auto waited = std::chrono::steady_clock::duration::zero();
+  while (cluster.counters().probes() == 0 && waited < std::chrono::seconds(1)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    waited = std::chrono::steady_clock::now() - quarantined;
+  }
+  ASSERT_GT(cluster.counters().probes(), 0u);
+  EXPECT_LE(waited, 10 * std::chrono::microseconds(opts.heartbeat_interval_us))
+      << "first probe after "
+      << std::chrono::duration_cast<std::chrono::microseconds>(waited).count()
+      << " us";
+  cluster.close();
+}
+
 TEST(Cluster, StalledReplicaCostsOneAttemptNotTheDeadline) {
   ClusterOptions opts = cluster_options(2);
   opts.probe_input = test_input(5);
