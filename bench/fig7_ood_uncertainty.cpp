@@ -6,6 +6,8 @@
 // rates the paper reports (55.03% uniform / 78.95% rotation).
 #include "bench_common.h"
 
+#include <algorithm>
+
 #include "core/metrics.h"
 #include "core/uncertainty.h"
 #include "data/transforms.h"
@@ -84,11 +86,25 @@ int main() {
                 p.nll, 100.0 * p.detection);
   }
 
-  // Headline numbers: strongest-shift detection rates.
-  std::printf("\nmax OOD detection: uniform %.1f%%, rotation %.1f%% "
-              "(paper: 55.03%% / 78.95%%)\n",
-              100.0 * noise_pts.back().detection,
-              100.0 * rot_pts.back().detection);
+  // Headline numbers: the best detection rate of each sweep over its
+  // shifted stages (stage 0 of both sweeps is the unshifted test set) and
+  // the stage it was reached at, then the rate at which clean ID data
+  // (uniform level 0.0) is flagged — the false-alarm floor the detection
+  // rates should be read against.
+  const auto best = [](const std::vector<OodPoint>& pts) {
+    return *std::max_element(pts.begin() + 1, pts.end(),
+                             [](const OodPoint& a, const OodPoint& b) {
+                               return a.detection < b.detection;
+                             });
+  };
+  const OodPoint noise_best = best(noise_pts);
+  const OodPoint rot_best = best(rot_pts);
+  std::printf("\nmax OOD detection: uniform %.1f%% (level %.2f), rotation "
+              "%.1f%% (%.0f deg) (paper: 55.03%% / 78.95%%)\n",
+              100.0 * noise_best.detection, noise_best.level,
+              100.0 * rot_best.detection, rot_best.level);
+  std::printf("false alarms on clean ID data (uniform level %.2f): %.1f%%\n",
+              noise_pts.front().level, 100.0 * noise_pts.front().detection);
 
   CsvWriter csv(csv_output_dir() + "/fig7_ood.csv",
                 {"shift", "level", "accuracy", "nll", "detection_rate"});

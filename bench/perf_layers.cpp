@@ -3,6 +3,7 @@
 // conventional layers it replaces.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -12,6 +13,7 @@
 #include "quant/int8/int8_gemm.h"
 #include "tensor/gemm.h"
 #include "tensor/random.h"
+#include "tensor/threadpool.h"
 
 using namespace ripple;
 namespace ag = ripple::autograd;
@@ -242,6 +244,58 @@ void BM_TrainStepConv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrainStepConv);
+
+// Calibration of ThreadPool::kMinParallelWork (docs/PERF.md "Thread
+// pool"): one fork-join that wakes every worker and hands each
+// participant ~4 empty chunks, against the one-core cost of a unit of
+// work below.
+void BM_PoolForkJoin(benchmark::State& state) {
+  const int64_t participants = ThreadPool::global().size() + 1;
+  for (auto _ : state) {
+    parallel_for(4 * participants, ThreadPool::kMinParallelWork,
+                 [](int64_t begin, int64_t end) {
+                   benchmark::DoNotOptimize(begin);
+                   benchmark::DoNotOptimize(end);
+                 });
+  }
+  state.SetLabel(std::to_string(participants) + " participants");
+}
+BENCHMARK(BM_PoolForkJoin);
+
+// One core's rate in the units call sites state their work in
+// (items_per_second): Arg 0 is bytes moved by a plan elementwise add over
+// cache-resident operands, Arg 1 the FLOPs of an inline one-block GEMM.
+void BM_PoolWorkUnit(benchmark::State& state) {
+  Rng rng(7);
+  if (state.range(0) == 0) {
+    const int64_t n = 16384;
+    Tensor a = Tensor::randn({n}, rng);
+    Tensor b = Tensor::randn({n}, rng);
+    Tensor c({n});
+    for (auto _ : state) {
+      const float* pa = a.data();
+      const float* pb = b.data();
+      float* pc = c.data();
+      for (int64_t i = 0; i < n; ++i) pc[i] = pa[i] + pb[i];
+      benchmark::DoNotOptimize(pc);
+    }
+    state.SetItemsProcessed(state.iterations() * 3 * n *
+                            int64_t{sizeof(float)});
+    state.SetLabel("bytes");
+  } else {
+    const int64_t m = 32, n = 32, k = 128;
+    Tensor a = Tensor::randn({m, k}, rng);
+    Tensor b = Tensor::randn({n, k}, rng);
+    Tensor c({m, n});
+    for (auto _ : state) {
+      gemm_nt(m, n, k, a.data(), b.data(), c.data());
+      benchmark::DoNotOptimize(c.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+    state.SetLabel("flops");
+  }
+}
+BENCHMARK(BM_PoolWorkUnit)->Arg(0)->Arg(1);
 
 }  // namespace
 

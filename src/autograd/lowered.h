@@ -17,12 +17,19 @@
 
 #include "tensor/tensor.h"
 
+namespace ripple {
+struct PackedGemmB;
+}  // namespace ripple
+
 namespace ripple::autograd {
 
 /// out = x · wᵀ (+ bias per output column). x [N,Fin], w [Fout,Fin],
-/// out [N,Fout]. Zeroes `out` first (the GEMM accumulates into C).
+/// out [N,Fout]. Zeroes `out` first (the GEMM accumulates into C). An
+/// execution backend that claims the layer runs it; otherwise `packed`
+/// (w's panels, e.g. held by a compiled plan step) is used when it was
+/// packed for the dispatched kernel, else the active pack cache.
 void linear_forward_into(const Tensor& x, const Tensor& w, const float* bias,
-                         Tensor& out);
+                         Tensor& out, const PackedGemmB* packed = nullptr);
 
 /// Per-participant scratch of the lowered convolutions: one slot per pool
 /// participant (ThreadPool size + 1), indexed by the conv's chunk id, so

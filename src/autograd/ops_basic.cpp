@@ -12,6 +12,7 @@
 #include "core/mc_stream.h"
 #include "deploy/trace.h"
 #include "tensor/ops.h"
+#include "tensor/threadpool.h"
 #include "tensor/vmath.h"
 
 namespace ripple::autograd {
@@ -69,15 +70,18 @@ void trace_step(deploy::OpTag tag, std::vector<Tensor> inputs,
 }
 
 // Exec closure for the elementwise binaries; same per-element expressions as
-// ops::add/sub/mul.
+// ops::add/sub/mul, over contiguous index ranges on the pool (work: the
+// bytes each element reads and writes).
 template <typename F>
 deploy::StepFn binary_fn(F op) {
   return [op](const Tensor* const* ins, int, Tensor& o) {
     const float* pa = ins[0]->data();
     const float* pb = ins[1]->data();
     float* po = o.data();
-    const int64_t n = o.numel();
-    for (int64_t i = 0; i < n; ++i) po[i] = op(pa[i], pb[i]);
+    parallel_for(o.numel(), 3 * int64_t{sizeof(float)},
+                 [&](int64_t i0, int64_t i1) {
+                   for (int64_t i = i0; i < i1; ++i) po[i] = op(pa[i], pb[i]);
+                 });
   };
 }
 
@@ -86,8 +90,10 @@ deploy::StepFn unary_fn(F op) {
   return [op](const Tensor* const* ins, int, Tensor& o) {
     const float* pa = ins[0]->data();
     float* po = o.data();
-    const int64_t n = o.numel();
-    for (int64_t i = 0; i < n; ++i) po[i] = op(pa[i]);
+    parallel_for(o.numel(), 2 * int64_t{sizeof(float)},
+                 [&](int64_t i0, int64_t i1) {
+                   for (int64_t i = i0; i < i1; ++i) po[i] = op(pa[i]);
+                 });
   };
 }
 

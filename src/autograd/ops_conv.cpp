@@ -84,14 +84,17 @@ void lower_conv(int64_t n, int64_t cout, int64_t ck, int64_t oa,
   const int64_t rest = n - first;
   const int64_t parts =
       std::min(static_cast<int64_t>(ws.slots.size()), rest);
-  parallel_for(parts, [&](int64_t c0, int64_t c1) {
+  if (parts <= 0) return;
+  // Work: a part's samples, 2·cout·ck·oa FLOPs each.
+  const int64_t part_work = 2 * cout * ck * oa * ((rest + parts - 1) / parts);
+  parallel_for(parts, part_work, [&](int64_t c0, int64_t c1) {
     for (int64_t c = c0; c < c1; ++c) {
       ConvWorkspace::Slot& slot = ws.slots[static_cast<size_t>(c)];
       const int64_t s1 = first + (c + 1) * rest / parts;
       for (int64_t s = first + c * rest / parts; s < s1; ++s)
         lower(s, slot, claimed);
     }
-  }, /*grain=*/1);
+  });
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ Variable matmul(const Variable& a, const Variable& b) {
 }
 
 void linear_forward_into(const Tensor& x, const Tensor& w, const float* bias,
-                         Tensor& out) {
+                         Tensor& out, const PackedGemmB* packed) {
   const int64_t n = x.dim(0);
   const int64_t fin = x.dim(1);
   const int64_t fout = w.dim(0);
@@ -52,6 +52,8 @@ void linear_forward_into(const Tensor& x, const Tensor& w, const float* bias,
   if (backend != nullptr && backend->linear(x, w, bias, out)) {
     // A serving session routed this layer to its execution substrate
     // (e.g. the IMC crossbar); `out` holds that substrate's result.
+  } else if (packed != nullptr && packed->nr == gemm_kernel_nr()) {
+    gemm_nt_prepacked(n, x.data(), *packed, out.data(), ep);
   } else if (active_pack_cache() != nullptr) {
     // Serving path: the session's frozen cache holds the weight panels, so
     // coalesced LSTM/MLP batches stop re-packing B every call. Identical
@@ -91,6 +93,8 @@ Variable linear(const Variable& x, const Variable& w, const Variable& b) {
     ts.output = out;
     ts.w = w.value();
     if (has_bias) ts.b = b.value();
+    if (const PackedACache* cache = active_pack_cache())
+      ts.packed_w = cache->share_b(w.value().data(), fout, fin);
     tr->record(std::move(ts));
   }
 

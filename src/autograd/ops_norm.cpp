@@ -9,6 +9,7 @@
 #include "autograd/ops.h"
 #include "deploy/trace.h"
 #include "tensor/ops.h"
+#include "tensor/threadpool.h"
 
 namespace ripple::autograd {
 namespace {
@@ -30,6 +31,38 @@ void standardize_backward_slab(const float* dy, const float* xhat, float s,
     dx[i] += s * (dy[i] - mean_dy - xhat[i] * mean_dy_xhat);
 }
 
+/// Standardizes kSlabs consecutive slabs of m elements (src/dst advance by
+/// m per slab). Each slab's mean and variance are double sums in index
+/// order, exactly as a one-slab loop computes them; running several slabs
+/// side by side only overlaps their dependent add chains.
+template <int kSlabs>
+void standardize_slabs(const float* src, float* dst, int64_t m, float eps,
+                       float* inv_std) {
+  double mean[kSlabs];
+  double var[kSlabs];
+  float s[kSlabs];
+  for (int j = 0; j < kSlabs; ++j) mean[j] = 0.0;
+  for (int64_t i = 0; i < m; ++i)
+    for (int j = 0; j < kSlabs; ++j) mean[j] += src[j * m + i];
+  for (int j = 0; j < kSlabs; ++j) {
+    mean[j] /= static_cast<double>(m);
+    var[j] = 0.0;
+  }
+  for (int64_t i = 0; i < m; ++i)
+    for (int j = 0; j < kSlabs; ++j) {
+      const double d = src[j * m + i] - mean[j];
+      var[j] += d * d;
+    }
+  for (int j = 0; j < kSlabs; ++j) {
+    var[j] /= static_cast<double>(m);
+    s[j] = 1.0f / std::sqrt(static_cast<float>(var[j]) + eps);
+    if (inv_std != nullptr) inv_std[j] = s[j];
+    const float mf = static_cast<float>(mean[j]);
+    for (int64_t i = 0; i < m; ++i)
+      dst[j * m + i] = (src[j * m + i] - mf) * s[j];
+  }
+}
+
 }  // namespace
 
 void group_normalize_into(const Tensor& x, int64_t groups, float eps,
@@ -41,23 +74,21 @@ void group_normalize_into(const Tensor& x, int64_t groups, float eps,
   const int64_t m = (c / groups) * inner;  // slab size
   const float* px = x.data();
   float* po = out.data();
-  for (int64_t slab = 0; slab < n * groups; ++slab) {
-    const float* src = px + slab * m;
-    float* dst = po + slab * m;
-    double sum = 0.0;
-    for (int64_t i = 0; i < m; ++i) sum += src[i];
-    const double mean = sum / static_cast<double>(m);
-    double var = 0.0;
-    for (int64_t i = 0; i < m; ++i) {
-      const double d = src[i] - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(m);
-    const float s = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-    if (inv_std != nullptr) inv_std[slab] = s;
-    for (int64_t i = 0; i < m; ++i)
-      dst[i] = (src[i] - static_cast<float>(mean)) * s;
-  }
+  // Slabs are independent, so any split gives the same bits. Work: three
+  // reads and one write of each slab element.
+  constexpr int kIlp = 4;
+  parallel_for(n * groups, 4 * m * int64_t{sizeof(float)},
+               [&](int64_t s0, int64_t s1) {
+                 int64_t slab = s0;
+                 for (; slab + kIlp <= s1; slab += kIlp)
+                   standardize_slabs<kIlp>(
+                       px + slab * m, po + slab * m, m, eps,
+                       inv_std != nullptr ? inv_std + slab : nullptr);
+                 for (; slab < s1; ++slab)
+                   standardize_slabs<1>(
+                       px + slab * m, po + slab * m, m, eps,
+                       inv_std != nullptr ? inv_std + slab : nullptr);
+               });
 }
 
 Variable group_normalize(const Variable& x, int64_t groups, float eps) {

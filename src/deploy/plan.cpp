@@ -21,6 +21,8 @@
 
 #include "deploy/exec_backend.h"
 #include "tensor/check.h"
+#include "tensor/gemm.h"
+#include "tensor/threadpool.h"
 #include "tensor/vmath.h"
 
 namespace ripple::deploy {
@@ -30,15 +32,23 @@ namespace {
 // ---------------------------------------------------------------------------
 // Fused-step kernels.
 
+// The elementwise kernels below split their rows (or copies) over the
+// pool: every output element is written by exactly one index with the same
+// expression, so any split gives the same bits. Work is the bytes an index
+// reads and writes.
+
 // Uniform [n, ...] -> stacked [t·n, ...]: T contiguous copies of the block.
 void replicate_into(const Tensor& x, Tensor& out) {
   const int64_t block = x.numel();
   const int64_t reps = out.numel() / block;
   const float* src = x.data();
   float* dst = out.data();
-  for (int64_t r = 0; r < reps; ++r) {
-    std::memcpy(dst + r * block, src, sizeof(float) * static_cast<size_t>(block));
-  }
+  parallel_for(reps, 2 * block * int64_t{sizeof(float)},
+               [&](int64_t r0, int64_t r1) {
+                 for (int64_t r = r0; r < r1; ++r)
+                   std::memcpy(dst + r * block, src,
+                               sizeof(float) * static_cast<size_t>(block));
+               });
 }
 
 // Per-replica channel affine: out = x·γ[rep] + β[rep], γ/β [R, C]. When x
@@ -60,31 +70,35 @@ void affine_into(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   const float* pg = gamma.data();
   const float* pb = beta.data();
   float* po = out.data();
-  for (int64_t i = 0; i < rows; ++i) {
-    const int64_t rep = i / rows_per_rep;
-    const float* src = px + (expand ? i % rows_per_rep : i) * rowsz;
-    float* dst = po + i * rowsz;
-    const float* gr = pg + rep * c;
-    const float* br = pb + rep * c;
-    if (inner == 1) {
-      // 2-D case: the channel axis is contiguous, so the two rounding
-      // sweeps (mul, then add — same sequence as below) auto-vectorize.
-      for (int64_t ch = 0; ch < c; ++ch) dst[ch] = src[ch] * gr[ch];
-      for (int64_t ch = 0; ch < c; ++ch) dst[ch] += br[ch];
-      continue;
+  // Work: two read-and-write sweeps over the row.
+  parallel_for(rows, 4 * rowsz * int64_t{sizeof(float)},
+               [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      const int64_t rep = i / rows_per_rep;
+      const float* src = px + (expand ? i % rows_per_rep : i) * rowsz;
+      float* dst = po + i * rowsz;
+      const float* gr = pg + rep * c;
+      const float* br = pb + rep * c;
+      if (inner == 1) {
+        // 2-D case: the channel axis is contiguous, so the two rounding
+        // sweeps (mul, then add — same sequence as below) auto-vectorize.
+        for (int64_t ch = 0; ch < c; ++ch) dst[ch] = src[ch] * gr[ch];
+        for (int64_t ch = 0; ch < c; ++ch) dst[ch] += br[ch];
+        continue;
+      }
+      for (int64_t ch = 0; ch < c; ++ch) {
+        const float g = gr[ch];
+        float* d = dst + ch * inner;
+        const float* s = src + ch * inner;
+        for (int64_t k = 0; k < inner; ++k) d[k] = s[k] * g;
+      }
+      for (int64_t ch = 0; ch < c; ++ch) {
+        const float b = br[ch];
+        float* d = dst + ch * inner;
+        for (int64_t k = 0; k < inner; ++k) d[k] += b;
+      }
     }
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float g = gr[ch];
-      float* d = dst + ch * inner;
-      const float* s = src + ch * inner;
-      for (int64_t k = 0; k < inner; ++k) d[k] = s[k] * g;
-    }
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float b = br[ch];
-      float* d = dst + ch * inner;
-      for (int64_t k = 0; k < inner; ++k) d[k] += b;
-    }
-  }
+  });
 }
 
 // Eval batch-norm + channel affine: ((x − μ[c])·s[c])·γ[c] + β[c], each
@@ -101,20 +115,23 @@ void bn_affine_into(const Tensor& x, const Tensor& mean, const Tensor& scale,
   const float* pg = gamma.data();
   const float* pb = beta.data();
   float* po = out.data();
-  for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const int64_t base = (i * c + ch) * inner;
-      const float m = pm[ch];
-      const float s = ps[ch];
-      const float g = pg[ch];
-      const float b = pb[ch];
-      for (int64_t k = 0; k < inner; ++k) {
-        const float v = (px[base + k] - m) * s;
-        const float w = v * g;
-        po[base + k] = w + b;
+  parallel_for(rows, 2 * c * inner * int64_t{sizeof(float)},
+               [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      for (int64_t ch = 0; ch < c; ++ch) {
+        const int64_t base = (i * c + ch) * inner;
+        const float m = pm[ch];
+        const float s = ps[ch];
+        const float g = pg[ch];
+        const float b = pb[ch];
+        for (int64_t k = 0; k < inner; ++k) {
+          const float v = (px[base + k] - m) * s;
+          const float w = v * g;
+          po[base + k] = w + b;
+        }
       }
     }
-  }
+  });
 }
 
 // Fused LSTM gate block over the two gate-GEMM halves g1 = x·Wihᵀ + b_ih and
@@ -225,6 +242,7 @@ struct WStep {
   Tensor w, b, g2, b2;
   int64_t i0 = 0, i1 = 0;
   Tensor ep_gamma, ep_beta;
+  std::shared_ptr<const PackedGemmB> packed_w;
   Tensor traced_out;
   bool replicated = true;
   bool dead = false;
@@ -296,6 +314,7 @@ struct PlanBuilder {
       w.b = tsx.b;
       w.i0 = tsx.i0;
       w.i1 = tsx.i1;
+      w.packed_w = std::move(tsx.packed_w);
       w.traced_out = tsx.output;
       if (w.fn == nullptr && !structured_tag(w.tag)) {
         return fail("traced step without executor closure");
@@ -682,6 +701,7 @@ bool PlanBuilder::emit() {
     p.i1 = w.i1;
     p.ep_gamma = w.ep_gamma;
     p.ep_beta = w.ep_beta;
+    p.packed_w = w.packed_w;
     if (t > 1) {
       for (size_t i = 0; i < p.args.size(); ++i) {
         const int a = p.args[i];
@@ -925,11 +945,13 @@ const Tensor& ExecutionPlan::execute(const Tensor& x, PlanContext& ctx) const {
             lep.beta = &st.ep_beta;
             if (be->linear_ex(*ins[0], st.w, lep, out)) break;
           }
-          autograd::linear_forward_into(*ins[0], st.w, bias, out);
+          autograd::linear_forward_into(*ins[0], st.w, bias, out,
+                                        st.packed_w.get());
           affine_into(out, st.ep_gamma, st.ep_beta, out);
           break;
         }
-        autograd::linear_forward_into(*ins[0], st.w, bias, out);
+        autograd::linear_forward_into(*ins[0], st.w, bias, out,
+                                      st.packed_w.get());
         break;
       }
       case OpTag::kConv2d:

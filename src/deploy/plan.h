@@ -102,6 +102,9 @@ struct PlanStep {
   // Per-replica affine epilogue folded into this GEMM step, applied in
   // place over `out` (InvertedNorm affine_first adjacent to a conv/linear).
   Tensor ep_gamma, ep_beta;
+  // kLinear: weight panels shared with the session's pack cache (skips the
+  // per-call cache lookup); may be null.
+  std::shared_ptr<const PackedGemmB> packed_w;
 };
 
 class ExecutionPlan;

@@ -15,11 +15,16 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
+
+namespace ripple {
+struct PackedGemmB;
+}  // namespace ripple
 
 namespace ripple::deploy {
 
@@ -82,6 +87,9 @@ struct TraceStep {
                       // kBatchNormEval: running mean + precomputed scale
   int64_t i0 = 0;     // conv stride / slice begin / pool kernel
   int64_t i1 = 0;     // conv pad / slice end / pool stride
+  // kLinear: the pack cache's weight panels when the traced pass had them,
+  // shared (never copied) with the compiled step.
+  std::shared_ptr<const PackedGemmB> packed_w;
 };
 
 class TraceRecorder {

@@ -249,9 +249,12 @@ void TiledArray::matvec_into(const float* px, int64_t n, float* po,
   grow(scratch.code_offset, tile_count + 1);
   int64_t* code_offset = scratch.code_offset.data();
   code_offset[0] = 0;
-  for (int64_t t = 0; t < tile_count; ++t)
-    code_offset[t + 1] =
-        code_offset[t] + tiles_[static_cast<size_t>(t)].spec.phys_cols;
+  int64_t cells = 0;  // crossbar cells over all tiles
+  for (int64_t t = 0; t < tile_count; ++t) {
+    const TileSpec& s = tiles_[static_cast<size_t>(t)].spec;
+    code_offset[t + 1] = code_offset[t] + s.phys_cols;
+    cells += s.rows * s.phys_cols;
+  }
   const int64_t code_stride = code_offset[tile_count];
   const int64_t block = std::min(kRowBlock, n);
   grow(scratch.xmax, block);
@@ -268,8 +271,10 @@ void TiledArray::matvec_into(const float* px, int64_t n, float* po,
     const int64_t bn = std::min(kRowBlock, n - b0);
     // One DAC pass per input row over the full fan-in — the word-line
     // drivers are shared by every tile of a grid row, exactly like the
-    // monolithic chain.
-    parallel_for(bn, [&](int64_t lo, int64_t hi) {
+    // monolithic chain. Work: each input is read twice and written once
+    // as a double.
+    parallel_for(bn, rows * int64_t{2 * sizeof(float) + sizeof(double)},
+                 [&](int64_t lo, int64_t hi) {
       for (int64_t b = lo; b < hi; ++b) {
         const float* xin = px + (b0 + b) * rows;
         double mx = 0.0;
@@ -283,11 +288,14 @@ void TiledArray::matvec_into(const float* px, int64_t n, float* po,
           v[r] = mx > 0.0 ? vq / mx * d.v_read : 0.0;
         }
       }
-    }, /*grain=*/1);
+    });
 
     // Tile MVMs in parallel: every (input row, tile) pair digitizes its
-    // partial column codes independently.
-    parallel_for(bn * tile_count, [&](int64_t lo, int64_t hi) {
+    // partial column codes independently. Work: the average tile's
+    // conductance pairs, read once.
+    parallel_for(bn * tile_count,
+                 cells / tile_count * int64_t{sizeof(ConductancePair)},
+                 [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
         const int64_t b = i / tile_count;
         const int64_t t = i % tile_count;
@@ -295,12 +303,16 @@ void TiledArray::matvec_into(const float* px, int64_t n, float* po,
         run_tile(tiles_[static_cast<size_t>(t)], volts + b * rows,
                  cur + slot, codes + slot);
       }
-    }, /*grain=*/1);
+    });
 
     // Fixed-point accumulation of the digitized partial sums across the
     // row blocks, then the binary bit-slice recombine (mapping.h
     // convention: MSB plane negative), then one conversion to float units.
-    parallel_for(bn, [&](int64_t lo, int64_t hi) {
+    // Work: the row's column codes, read once, and its plane accumulators,
+    // written and read back.
+    parallel_for(bn, (code_stride + 2 * plan_.cols * planes) *
+                         int64_t{sizeof(int64_t)},
+                 [&](int64_t lo, int64_t hi) {
       for (int64_t b = lo; b < hi; ++b) {
         int64_t* acc = scratch.acc.data() + b * plan_.cols * planes;
         std::fill(acc, acc + plan_.cols * planes, 0);
@@ -330,7 +342,7 @@ void TiledArray::matvec_into(const float* px, int64_t n, float* po,
               mx > 0.0 ? i_dig / (d.v_read * g_span) * scale_ * mx : 0.0);
         }
       }
-    }, /*grain=*/1);
+    });
   }
 }
 

@@ -439,9 +439,10 @@ void int8_gemm(RowsAre mode, const void* rows, int64_t m, int64_t k,
   // weight rows against thousands of output-position panels, so splitting
   // on M would leave the pool idle (the fp32 driver's small-M gap this
   // subsystem's carryover fixes). Each (panel, row-block) tile is written
-  // by exactly one task, so the split never changes results.
+  // by exactly one task, so the split never changes results. Work: one
+  // multiply-add (2 ops) per row, panel column and depth step.
   parallel_for(
-      npanels,
+      npanels, 2 * m * kNR * k,
       [&](int64_t p0, int64_t p1) {
         alignas(64) int32_t acc[kMR * kNR];
         for (int64_t p = p0; p < p1; ++p) {
@@ -466,8 +467,7 @@ void int8_gemm(RowsAre mode, const void* rows, int64_t m, int64_t k,
             requantize_tile(acc, i0, mvalid, j0, nvalid, m, n, ep, c, ldc);
           }
         }
-      },
-      /*grain=*/1);
+      });
 }
 
 // ---- packing & dynamic quantization ----------------------------------------
@@ -633,8 +633,9 @@ void quantize_rows_u8(const float* x, int64_t m, int64_t k, uint8_t* dst,
 #ifdef RIPPLE_X86
   const bool simd = g_kernel.simd;
 #endif
+  // Work: each row is read twice (range, then quantize) and written once.
   parallel_for(
-      m,
+      m, 2 * k * int64_t{sizeof(float)} + k4,
       [&](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
           const float* row = x + i * k;
@@ -656,8 +657,7 @@ void quantize_rows_u8(const float* x, int64_t m, int64_t k, uint8_t* dst,
             out[kk] = quantize_value(row[kk], inv, zp[i]);
           for (int64_t kk = k; kk < k4; ++kk) out[kk] = 0;
         }
-      },
-      /*grain=*/8);
+      });
 }
 
 void quantize_pack_cols_u8(const float* cols, int64_t k, int64_t l,
@@ -693,8 +693,9 @@ void quantize_pack_cols_u8(const float* cols, int64_t k, int64_t l,
 #endif
   std::memset(dst, 0, static_cast<size_t>(packed_bytes(l, k)));
   const int64_t pb = panel_bytes(k);
+  // Work: a panel reads kNR·k floats and writes kNR·k bytes.
   parallel_for(
-      num_panels(l),
+      num_panels(l), kNR * k * int64_t{sizeof(float) + 1},
       [&](int64_t p0, int64_t p1) {
         for (int64_t p = p0; p < p1; ++p) {
           uint8_t* panel = dst + p * pb;
@@ -714,8 +715,7 @@ void quantize_pack_cols_u8(const float* cols, int64_t k, int64_t l,
                                  zp[p * kNR + j]);
           }
         }
-      },
-      /*grain=*/4);
+      });
 }
 
 // ---- backend selection hooks ----------------------------------------------

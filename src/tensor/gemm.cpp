@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <string>
 
 #include "tensor/env.h"
 #include "tensor/threadpool.h"
@@ -114,13 +115,20 @@ __attribute__((target("avx512f"))) void kernel_avx512_6x32(int64_t kc,
 // ---- kernel selection ------------------------------------------------------
 
 const KernelInfo kScalarKernel = {16, kernel_scalar_6x16, "scalar"};
+#ifdef RIPPLE_X86
+const KernelInfo kAvx512Kernel = {32, kernel_avx512_6x32, "avx512"};
+const KernelInfo kAvx2Kernel = {16, kernel_avx2_6x16, "avx2"};
+
+bool has_avx512() { return __builtin_cpu_supports("avx512f"); }
+bool has_avx2() {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
+#endif
 
 KernelInfo best_simd_kernel() {
 #ifdef RIPPLE_X86
-  if (__builtin_cpu_supports("avx512f"))
-    return {32, kernel_avx512_6x32, "avx512"};
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return {16, kernel_avx2_6x16, "avx2"};
+  if (has_avx512()) return kAvx512Kernel;
+  if (has_avx2()) return kAvx2Kernel;
 #endif
   return kScalarKernel;
 }
@@ -133,6 +141,7 @@ KernelInfo detect_kernel() {
 // Not synchronized against in-flight GEMM calls; set_gemm_backend is a
 // test/bench hook, not a hot-path API.
 KernelInfo g_kernel = detect_kernel();
+bool g_force_blocked = false;  // gemm_testing::force_blocked_driver
 
 int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
@@ -223,12 +232,11 @@ void epilogue_rows(int64_t i0, int64_t i1, int64_t n, float* c, int64_t ldc,
 
 void apply_epilogue(int64_t m, int64_t n, float* c, const GemmEpilogue& ep) {
   if (!ep.active()) return;
-  parallel_for(
-      m,
-      [&](int64_t begin, int64_t end) {
-        epilogue_rows(begin, end, n, c, n, ep);
-      },
-      /*grain=*/std::max<int64_t>(1, 4096 / std::max<int64_t>(1, n)));
+  // Work: each row reads and writes n floats.
+  parallel_for(m, 2 * n * int64_t{sizeof(float)},
+               [&](int64_t begin, int64_t end) {
+                 epilogue_rows(begin, end, n, c, n, ep);
+               });
 }
 
 // ---- macro-kernel over one packed (A block, B block) pair ------------------
@@ -280,6 +288,19 @@ void gemm_driver(int64_t m, int64_t n, int64_t k, PackA&& pack_a_fn,
   }
   const KernelInfo ki = g_kernel;
   thread_local std::vector<float> bpbuf;
+  if (m <= kMC && n <= kNC && k <= kKC &&
+      2 * m * n * k < ThreadPool::kMinParallelWork && !g_force_blocked) {
+    // One block below the parallel threshold (the serving shapes of small
+    // dense layers): the work rule would run it inline anyway, so skip the
+    // loop machinery and pack A into a stack panel. Same packing, block and
+    // micro-kernel calls as the general path, so the same bits.
+    alignas(64) float apanel[kMC * kKC];
+    pack_a_fn(apanel, 0, m, 0, k);
+    run_block(ki, k, apanel, m, pack_b_fn(bpbuf, 0, k, 0, n, ki.nr), n, c,
+              n);
+    if (ep.active()) epilogue_rows(0, m, n, c, n, ep);
+    return;
+  }
   for (int64_t jc = 0; jc < n; jc += kNC) {
     const int64_t nb = std::min(kNC, n - jc);
     for (int64_t k0 = 0; k0 < k; k0 += kKC) {
@@ -298,30 +319,28 @@ void gemm_driver(int64_t m, int64_t n, int64_t k, PackA&& pack_a_fn,
       const int64_t nthreads = ThreadPool::global().size() + 1;
       const int64_t nchunks =
           std::clamp<int64_t>(nthreads / mblocks, 1, npanels);
-      parallel_for(
-          mblocks * nchunks,
-          [&](int64_t w0, int64_t w1) {
-            thread_local std::vector<float> apbuf;
-            apbuf.resize(static_cast<size_t>((kMC / kMR) * kb * kMR));
-            int64_t packed_blk = -1;
-            for (int64_t w = w0; w < w1; ++w) {
-              const int64_t blk = w / nchunks;
-              const int64_t i0 = blk * kMC;
-              const int64_t mb = std::min(kMC, m - i0);
-              if (blk != packed_blk) {
-                pack_a_fn(apbuf.data(), i0, mb, k0, kb);
-                packed_blk = blk;
-              }
-              const int64_t chunk = w % nchunks;
-              const int64_t q0 = chunk * npanels / nchunks;
-              const int64_t q1 = (chunk + 1) * npanels / nchunks;
-              if (q0 == q1) continue;
-              run_block(ki, kb, apbuf.data(), mb, bp + q0 * kb * ki.nr,
-                        std::min(nb - q0 * ki.nr, (q1 - q0) * ki.nr),
-                        c + i0 * n + jc + q0 * ki.nr, n);
-            }
-          },
-          /*grain=*/1);
+      const int64_t tasks = mblocks * nchunks;
+      parallel_for(tasks, 2 * m * nb * kb / tasks, [&](int64_t w0, int64_t w1) {
+        thread_local std::vector<float> apbuf;
+        apbuf.resize(static_cast<size_t>((kMC / kMR) * kb * kMR));
+        int64_t packed_blk = -1;
+        for (int64_t w = w0; w < w1; ++w) {
+          const int64_t blk = w / nchunks;
+          const int64_t i0 = blk * kMC;
+          const int64_t mb = std::min(kMC, m - i0);
+          if (blk != packed_blk) {
+            pack_a_fn(apbuf.data(), i0, mb, k0, kb);
+            packed_blk = blk;
+          }
+          const int64_t chunk = w % nchunks;
+          const int64_t q0 = chunk * npanels / nchunks;
+          const int64_t q1 = (chunk + 1) * npanels / nchunks;
+          if (q0 == q1) continue;
+          run_block(ki, kb, apbuf.data(), mb, bp + q0 * kb * ki.nr,
+                    std::min(nb - q0 * ki.nr, (q1 - q0) * ki.nr),
+                    c + i0 * n + jc + q0 * ki.nr, n);
+        }
+      });
     }
   }
   apply_epilogue(m, n, c, ep);
@@ -494,14 +513,23 @@ const PackedGemmA* PackedACache::insert(const float* a, int64_t m, int64_t k,
 const PackedGemmB* PackedACache::find_b(const float* b, int64_t n,
                                         int64_t k) const {
   const auto it = bmap_.find(Key{b, n, k});
-  return it != bmap_.end() ? &it->second : nullptr;
+  return it != bmap_.end() ? it->second.get() : nullptr;
 }
 
 const PackedGemmB* PackedACache::insert_b(const float* b, int64_t n, int64_t k,
                                           PackedGemmB packed) {
   RIPPLE_CHECK(!frozen()) << "PackedACache::insert_b after freeze()";
-  return &bmap_.insert_or_assign(Key{b, n, k}, std::move(packed))
-              .first->second;
+  return bmap_
+      .insert_or_assign(Key{b, n, k},
+                        std::make_shared<const PackedGemmB>(std::move(packed)))
+      .first->second.get();
+}
+
+std::shared_ptr<const PackedGemmB> PackedACache::share_b(const float* b,
+                                                         int64_t n,
+                                                         int64_t k) const {
+  const auto it = bmap_.find(Key{b, n, k});
+  return it != bmap_.end() ? it->second : nullptr;
 }
 
 void PackedACache::freeze() { frozen_.store(true, std::memory_order_release); }
@@ -596,6 +624,33 @@ void set_gemm_backend(GemmBackend backend) {
 }
 
 const char* gemm_backend_name() { return g_kernel.name; }
+
+int64_t gemm_kernel_nr() { return g_kernel.nr; }
+
+namespace gemm_testing {
+
+bool use_kernel(const char* name) {
+  const std::string want = name;
+  if (want == kScalarKernel.name) {
+    g_kernel = kScalarKernel;
+    return true;
+  }
+#ifdef RIPPLE_X86
+  if (want == kAvx512Kernel.name && has_avx512()) {
+    g_kernel = kAvx512Kernel;
+    return true;
+  }
+  if (want == kAvx2Kernel.name && has_avx2()) {
+    g_kernel = kAvx2Kernel;
+    return true;
+  }
+#endif
+  return false;
+}
+
+void force_blocked_driver(bool on) { g_force_blocked = on; }
+
+}  // namespace gemm_testing
 
 // ---- reference kernels (pre-optimization implementations) ------------------
 

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -135,6 +136,10 @@ class PackedACache {
   const PackedGemmB* find_b(const float* b, int64_t n, int64_t k) const;
   const PackedGemmB* insert_b(const float* b, int64_t n, int64_t k,
                               PackedGemmB packed);
+  /// Shared ownership of the cached B panels for `b` (nullptr if absent):
+  /// a compiled plan step holds them directly, and they outlive clear().
+  std::shared_ptr<const PackedGemmB> share_b(const float* b, int64_t n,
+                                             int64_t k) const;
   void freeze();
   bool frozen() const;
   void clear();
@@ -153,7 +158,7 @@ class PackedACache {
 
   std::atomic<bool> frozen_{false};
   std::unordered_map<Key, PackedGemmA, KeyHash> map_;
-  std::unordered_map<Key, PackedGemmB, KeyHash> bmap_;
+  std::unordered_map<Key, std::shared_ptr<const PackedGemmB>, KeyHash> bmap_;
 };
 
 /// The pack cache installed on this thread (nullptr outside any scope).
@@ -192,6 +197,19 @@ void set_gemm_backend(GemmBackend backend);
 /// Name of the micro-kernel currently dispatched: "scalar", "avx2", or
 /// "avx512".
 const char* gemm_backend_name();
+/// Panel width (nr) of the dispatched micro-kernel; PackedGemmB panels
+/// packed for another width must be re-packed.
+int64_t gemm_kernel_nr();
+
+/// Test hooks, unsynchronized like set_gemm_backend.
+namespace gemm_testing {
+/// Dispatches the named micro-kernel ("scalar", "avx2" or "avx512").
+/// Returns false, changing nothing, when this CPU cannot run it.
+bool use_kernel(const char* name);
+/// On: every GEMM runs through the blocked, pooled driver, also a single
+/// block below ThreadPool::kMinParallelWork that would run inline.
+void force_blocked_driver(bool on);
+}  // namespace gemm_testing
 
 /// Reference kernels (the pre-optimization blocked loops, serial). Kept as
 /// the correctness oracle for tests and the baseline for BENCH_gemm.json.

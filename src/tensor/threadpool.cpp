@@ -45,21 +45,20 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::run_task_chunks() {
   InParallelScope scope;
   const int64_t n = task_n_;
-  const int64_t chunk = task_chunk_;
+  const int64_t chunks = task_chunks_;
   const LoopRef body = task_body_;
   for (;;) {
-    const int64_t begin = task_next_.fetch_add(chunk, std::memory_order_relaxed);
-    if (begin >= n) break;
-    const int64_t end = std::min(n, begin + chunk);
+    const int64_t c = task_next_.fetch_add(1, std::memory_order_relaxed);
+    if (c >= chunks) break;
     try {
-      body(begin, end);
+      body(c * n / chunks, (c + 1) * n / chunks);
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(task_error_mutex_);
         if (!task_error_) task_error_ = std::current_exception();
       }
       // Abandon the remaining chunks; participants drain out.
-      task_next_.store(n, std::memory_order_relaxed);
+      task_next_.store(chunks, std::memory_order_relaxed);
     }
   }
 }
@@ -83,10 +82,22 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_run(int64_t n, int64_t grain, LoopRef body) {
+uint64_t ThreadPool::regions() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return task_epoch_;
+}
+
+void ThreadPool::parallel_run(int64_t n, int64_t work_per_index,
+                              LoopRef body) {
   if (n <= 0) return;
-  grain = std::max<int64_t>(1, grain);
-  if (workers_.empty() || n <= grain || tl_in_parallel) {
+  // Chunks of `grain` indices carry at least kMinParallelWork; ~4 chunks
+  // per participant give dynamic balancing without excessive atomic
+  // traffic. Chunk boundaries c·n/chunks keep every chunk >= grain.
+  const int64_t work = std::max<int64_t>(1, work_per_index);
+  const int64_t grain = (kMinParallelWork + work - 1) / work;
+  const int64_t participants = size() + 1;
+  const int64_t chunks = std::min(n / grain, participants * 4);
+  if (workers_.empty() || chunks <= 1 || tl_in_parallel) {
     InParallelScope scope;
     body(0, n);
     return;
@@ -99,16 +110,11 @@ void ThreadPool::parallel_run(int64_t n, int64_t grain, LoopRef body) {
     body(0, n);
     return;
   }
-  // ~4 chunks per participant give dynamic balancing without excessive
-  // atomic traffic.
-  const int64_t participants = size() + 1;
-  const int64_t chunk =
-      std::max(grain, (n + participants * 4 - 1) / (participants * 4));
   {
     std::lock_guard<std::mutex> lock(mutex_);
     task_body_ = body;
     task_n_ = n;
-    task_chunk_ = chunk;
+    task_chunks_ = chunks;
     task_next_.store(0, std::memory_order_relaxed);
     task_error_ = nullptr;
     task_active_ = true;
@@ -119,7 +125,7 @@ void ThreadPool::parallel_run(int64_t n, int64_t grain, LoopRef body) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_done_.wait(lock, [this] {
-      return task_next_.load(std::memory_order_relaxed) >= task_n_ &&
+      return task_next_.load(std::memory_order_relaxed) >= task_chunks_ &&
              task_running_ == 0;
     });
     task_active_ = false;

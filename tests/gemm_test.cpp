@@ -210,6 +210,51 @@ TEST(GemmReference, RefKernelsMatchNaive) {
     EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-3f);
 }
 
+TEST(GemmDriver, InlineOneBlockMatchesPooledDriver) {
+  // A GEMM of one block below ThreadPool::kMinParallelWork runs on the
+  // calling thread with a stack A panel; the same shape forced through the
+  // blocked, pooled driver must give the same bits, bias epilogue included.
+  // Shapes past one block (m 97, k 257) or past the threshold take the
+  // pooled driver either way and are checked for completeness.
+  Rng rng(43);
+  int kernels = 0;
+  for (const char* kernel : {"scalar", "avx2", "avx512"}) {
+    if (!gemm_testing::use_kernel(kernel)) continue;
+    ++kernels;
+    for (const int64_t m : {1, 5, 6, 7, 96, 97})
+      for (const int64_t n : {1, 31, 32, 33, 128})
+        for (const int64_t k : {1, 8, 256, 257}) {
+          Tensor a = Tensor::randn({m, k}, rng);
+          Tensor bt = Tensor::randn({n, k}, rng);  // gemm_nt: B is [N, K]
+          Tensor b = Tensor::randn({k, n}, rng);   // gemm_nn: B is [K, N]
+          Tensor col_bias = Tensor::randn({n}, rng);
+          Tensor row_bias = Tensor::randn({m}, rng);
+          GemmEpilogue nt_ep;
+          nt_ep.col_bias = col_bias.data();
+          GemmEpilogue nn_ep;
+          nn_ep.row_bias = row_bias.data();
+          Tensor nt_inline({m, n}), nt_pooled({m, n});
+          Tensor nn_inline({m, n}), nn_pooled({m, n});
+          gemm_nt_ex(m, n, k, a.data(), bt.data(), nt_inline.data(), nt_ep);
+          gemm_nn_ex(m, n, k, a.data(), b.data(), nn_inline.data(), nn_ep);
+          gemm_testing::force_blocked_driver(true);
+          gemm_nt_ex(m, n, k, a.data(), bt.data(), nt_pooled.data(), nt_ep);
+          gemm_nn_ex(m, n, k, a.data(), b.data(), nn_pooled.data(), nn_ep);
+          gemm_testing::force_blocked_driver(false);
+          for (int64_t i = 0; i < m * n; ++i) {
+            ASSERT_EQ(nt_inline.data()[i], nt_pooled.data()[i])
+                << kernel << " nt m=" << m << " n=" << n << " k=" << k
+                << " at " << i;
+            ASSERT_EQ(nn_inline.data()[i], nn_pooled.data()[i])
+                << kernel << " nn m=" << m << " n=" << n << " k=" << k
+                << " at " << i;
+          }
+        }
+  }
+  set_gemm_backend(GemmBackend::kAuto);
+  EXPECT_GE(kernels, 1);
+}
+
 TEST(Gemm, AccumulatesIntoC) {
   Tensor a({1, 1}, {2.0f});
   Tensor b({1, 1}, {3.0f});

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "autograd/lowered.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
+#include "tensor/threadpool.h"
 
 namespace ripple::nn {
 namespace {
@@ -103,6 +107,62 @@ TEST(GroupNorm, NormalizesWithinGroups) {
   // Second group: scaling cancels (mean is ~0 already within the group).
   for (int64_t i = 2 * 16; i < 4 * 16; ++i)
     EXPECT_NEAR(y1.value().data()[i], y2.value().data()[i], 2e-2f);
+}
+
+/// The one-slab-at-a-time loop group_normalize_into is defined by: per
+/// slab, mean and variance as double sums in index order.
+void serial_group_normalize(const Tensor& x, int64_t groups, float eps,
+                            Tensor& out, float* inv_std) {
+  const int64_t slabs = x.dim(0) * groups;
+  const int64_t m = x.numel() / slabs;
+  for (int64_t slab = 0; slab < slabs; ++slab) {
+    const float* src = x.data() + slab * m;
+    float* dst = out.data() + slab * m;
+    double sum = 0.0;
+    for (int64_t i = 0; i < m; ++i) sum += src[i];
+    const double mean = sum / static_cast<double>(m);
+    double var = 0.0;
+    for (int64_t i = 0; i < m; ++i) {
+      const double d = src[i] - mean;
+      var += d * d;
+    }
+    var /= static_cast<double>(m);
+    const float s = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+    inv_std[slab] = s;
+    for (int64_t i = 0; i < m; ++i)
+      dst[i] = (src[i] - static_cast<float>(mean)) * s;
+  }
+}
+
+TEST(GroupNorm, PooledNormalizeIsBitIdenticalToSerialLoop) {
+  // Slab counts that split unevenly among the pool's participants and
+  // leave a remainder after the multi-slab interleave: 43 slabs of 4096
+  // (several slabs per chunk), 9 slabs of 40000 (one per chunk), and 39
+  // small slabs (inline).
+  Rng rng(9);
+  const uint64_t regions_before = ThreadPool::global().regions();
+  for (const auto& [shape, groups] :
+       {std::pair<Shape, int64_t>{{43, 2, 32, 64}, 1},
+        {{3, 3, 200, 200}, 3},
+        {{13, 6, 5, 7}, 3}}) {
+    const Tensor x = Tensor::randn(shape, rng, 5.0f, 2.0f);
+    const int64_t slabs = shape[0] * groups;
+    Tensor got(shape), want(shape);
+    std::vector<float> got_inv(static_cast<size_t>(slabs));
+    std::vector<float> want_inv(static_cast<size_t>(slabs));
+    ag::group_normalize_into(x, groups, 1e-5f, got, got_inv.data());
+    serial_group_normalize(x, groups, 1e-5f, want, want_inv.data());
+    for (int64_t i = 0; i < x.numel(); ++i)
+      ASSERT_EQ(got.data()[i], want.data()[i])
+          << "slabs " << slabs << " at " << i;
+    for (int64_t j = 0; j < slabs; ++j)
+      ASSERT_EQ(got_inv[static_cast<size_t>(j)],
+                want_inv[static_cast<size_t>(j)])
+          << "slabs " << slabs << " slab " << j;
+  }
+  // With workers, the two large cases ran as parallel regions.
+  if (ThreadPool::global().size() > 0)
+    EXPECT_GE(ThreadPool::global().regions(), regions_before + 2);
 }
 
 TEST(InstanceNorm, EachChannelStandardized) {
