@@ -702,6 +702,7 @@ bool PlanBuilder::emit() {
     p.ep_gamma = w.ep_gamma;
     p.ep_beta = w.ep_beta;
     p.packed_w = w.packed_w;
+    if (p.packed_w != nullptr) ++stats.held_panels;
     if (t > 1) {
       for (size_t i = 0; i < p.args.size(); ++i) {
         const int a = p.args[i];

@@ -48,6 +48,7 @@ struct PlanStats {
   int uniform_steps = 0;     // steps running at 1/T rows (lazy stem)
   int replicate_steps = 0;   // explicit uniform->stacked copies
   int epilogue_affines = 0;  // affines folded into a GEMM producer step
+  int held_panels = 0;       // kLinear steps holding cached weight panels
   int constants = 0;
   int buffers = 0;
   int arena_slots = 0;

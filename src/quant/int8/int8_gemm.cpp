@@ -439,10 +439,13 @@ void int8_gemm(RowsAre mode, const void* rows, int64_t m, int64_t k,
   // weight rows against thousands of output-position panels, so splitting
   // on M would leave the pool idle (the fp32 driver's small-M gap this
   // subsystem's carryover fixes). Each (panel, row-block) tile is written
-  // by exactly one task, so the split never changes results. Work: one
-  // multiply-add (2 ops) per row, panel column and depth step.
+  // by exactly one task, so the split never changes results. Work, in
+  // fp32 FLOPs of the same time: a u8×s8 dot step does four multiply-adds
+  // per 32-bit lane where an fp32 FMA does one, so each multiply-add per
+  // row, panel column and depth step counts 2/4 (perf_layers
+  // BM_Int8GemmVsFp32 runs 1–6× the fp32 GEMM's FLOP rate).
   parallel_for(
-      npanels, 2 * m * kNR * k,
+      npanels, m * kNR * k / 2,
       [&](int64_t p0, int64_t p1) {
         alignas(64) int32_t acc[kMR * kNR];
         for (int64_t p = p0; p < p1; ++p) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <string>
 
 #include "tensor/env.h"
 #include "tensor/threadpool.h"
@@ -115,20 +114,13 @@ __attribute__((target("avx512f"))) void kernel_avx512_6x32(int64_t kc,
 // ---- kernel selection ------------------------------------------------------
 
 const KernelInfo kScalarKernel = {16, kernel_scalar_6x16, "scalar"};
-#ifdef RIPPLE_X86
-const KernelInfo kAvx512Kernel = {32, kernel_avx512_6x32, "avx512"};
-const KernelInfo kAvx2Kernel = {16, kernel_avx2_6x16, "avx2"};
-
-bool has_avx512() { return __builtin_cpu_supports("avx512f"); }
-bool has_avx2() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-#endif
 
 KernelInfo best_simd_kernel() {
 #ifdef RIPPLE_X86
-  if (has_avx512()) return kAvx512Kernel;
-  if (has_avx2()) return kAvx2Kernel;
+  if (__builtin_cpu_supports("avx512f"))
+    return {32, kernel_avx512_6x32, "avx512"};
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    return {16, kernel_avx2_6x16, "avx2"};
 #endif
   return kScalarKernel;
 }
@@ -141,7 +133,6 @@ KernelInfo detect_kernel() {
 // Not synchronized against in-flight GEMM calls; set_gemm_backend is a
 // test/bench hook, not a hot-path API.
 KernelInfo g_kernel = detect_kernel();
-bool g_force_blocked = false;  // gemm_testing::force_blocked_driver
 
 int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
@@ -288,19 +279,6 @@ void gemm_driver(int64_t m, int64_t n, int64_t k, PackA&& pack_a_fn,
   }
   const KernelInfo ki = g_kernel;
   thread_local std::vector<float> bpbuf;
-  if (m <= kMC && n <= kNC && k <= kKC &&
-      2 * m * n * k < ThreadPool::kMinParallelWork && !g_force_blocked) {
-    // One block below the parallel threshold (the serving shapes of small
-    // dense layers): the work rule would run it inline anyway, so skip the
-    // loop machinery and pack A into a stack panel. Same packing, block and
-    // micro-kernel calls as the general path, so the same bits.
-    alignas(64) float apanel[kMC * kKC];
-    pack_a_fn(apanel, 0, m, 0, k);
-    run_block(ki, k, apanel, m, pack_b_fn(bpbuf, 0, k, 0, n, ki.nr), n, c,
-              n);
-    if (ep.active()) epilogue_rows(0, m, n, c, n, ep);
-    return;
-  }
   for (int64_t jc = 0; jc < n; jc += kNC) {
     const int64_t nb = std::min(kNC, n - jc);
     for (int64_t k0 = 0; k0 < k; k0 += kKC) {
@@ -626,31 +604,6 @@ void set_gemm_backend(GemmBackend backend) {
 const char* gemm_backend_name() { return g_kernel.name; }
 
 int64_t gemm_kernel_nr() { return g_kernel.nr; }
-
-namespace gemm_testing {
-
-bool use_kernel(const char* name) {
-  const std::string want = name;
-  if (want == kScalarKernel.name) {
-    g_kernel = kScalarKernel;
-    return true;
-  }
-#ifdef RIPPLE_X86
-  if (want == kAvx512Kernel.name && has_avx512()) {
-    g_kernel = kAvx512Kernel;
-    return true;
-  }
-  if (want == kAvx2Kernel.name && has_avx2()) {
-    g_kernel = kAvx2Kernel;
-    return true;
-  }
-#endif
-  return false;
-}
-
-void force_blocked_driver(bool on) { g_force_blocked = on; }
-
-}  // namespace gemm_testing
 
 // ---- reference kernels (pre-optimization implementations) ------------------
 

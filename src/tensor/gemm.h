@@ -201,16 +201,6 @@ const char* gemm_backend_name();
 /// packed for another width must be re-packed.
 int64_t gemm_kernel_nr();
 
-/// Test hooks, unsynchronized like set_gemm_backend.
-namespace gemm_testing {
-/// Dispatches the named micro-kernel ("scalar", "avx2" or "avx512").
-/// Returns false, changing nothing, when this CPU cannot run it.
-bool use_kernel(const char* name);
-/// On: every GEMM runs through the blocked, pooled driver, also a single
-/// block below ThreadPool::kMinParallelWork that would run inline.
-void force_blocked_driver(bool on);
-}  // namespace gemm_testing
-
 /// Reference kernels (the pre-optimization blocked loops, serial). Kept as
 /// the correctness oracle for tests and the baseline for BENCH_gemm.json.
 void gemm_ref_nn(int64_t m, int64_t n, int64_t k, const float* a,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "tensor/random.h"
+#include "tensor/threadpool.h"
 
 namespace ripple {
 namespace {
@@ -210,49 +211,34 @@ TEST(GemmReference, RefKernelsMatchNaive) {
     EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-3f);
 }
 
-TEST(GemmDriver, InlineOneBlockMatchesPooledDriver) {
-  // A GEMM of one block below ThreadPool::kMinParallelWork runs on the
-  // calling thread with a stack A panel; the same shape forced through the
-  // blocked, pooled driver must give the same bits, bias epilogue included.
-  // Shapes past one block (m 97, k 257) or past the threshold take the
-  // pooled driver either way and are checked for completeness.
+TEST(GemmDriver, SmallGemmRunsInlineWithoutParallelRegion) {
+  // The serving shapes of small dense layers (edge LSTM gates: rows 1-8,
+  // 32 outputs, 8 inputs) are far below ThreadPool::kMinParallelWork, so
+  // the blocked driver and its bias epilogue run on the calling thread and
+  // open no parallel region.
   Rng rng(43);
-  int kernels = 0;
-  for (const char* kernel : {"scalar", "avx2", "avx512"}) {
-    if (!gemm_testing::use_kernel(kernel)) continue;
-    ++kernels;
-    for (const int64_t m : {1, 5, 6, 7, 96, 97})
-      for (const int64_t n : {1, 31, 32, 33, 128})
-        for (const int64_t k : {1, 8, 256, 257}) {
-          Tensor a = Tensor::randn({m, k}, rng);
-          Tensor bt = Tensor::randn({n, k}, rng);  // gemm_nt: B is [N, K]
-          Tensor b = Tensor::randn({k, n}, rng);   // gemm_nn: B is [K, N]
-          Tensor col_bias = Tensor::randn({n}, rng);
-          Tensor row_bias = Tensor::randn({m}, rng);
-          GemmEpilogue nt_ep;
-          nt_ep.col_bias = col_bias.data();
-          GemmEpilogue nn_ep;
-          nn_ep.row_bias = row_bias.data();
-          Tensor nt_inline({m, n}), nt_pooled({m, n});
-          Tensor nn_inline({m, n}), nn_pooled({m, n});
-          gemm_nt_ex(m, n, k, a.data(), bt.data(), nt_inline.data(), nt_ep);
-          gemm_nn_ex(m, n, k, a.data(), b.data(), nn_inline.data(), nn_ep);
-          gemm_testing::force_blocked_driver(true);
-          gemm_nt_ex(m, n, k, a.data(), bt.data(), nt_pooled.data(), nt_ep);
-          gemm_nn_ex(m, n, k, a.data(), b.data(), nn_pooled.data(), nn_ep);
-          gemm_testing::force_blocked_driver(false);
-          for (int64_t i = 0; i < m * n; ++i) {
-            ASSERT_EQ(nt_inline.data()[i], nt_pooled.data()[i])
-                << kernel << " nt m=" << m << " n=" << n << " k=" << k
-                << " at " << i;
-            ASSERT_EQ(nn_inline.data()[i], nn_pooled.data()[i])
-                << kernel << " nn m=" << m << " n=" << n << " k=" << k
-                << " at " << i;
-          }
-        }
-  }
-  set_gemm_backend(GemmBackend::kAuto);
-  EXPECT_GE(kernels, 1);
+  ThreadPool& pool = ThreadPool::global();
+  for (const int64_t m : {1, 5, 8})
+    for (const int64_t k : {1, 8, 33}) {
+      const int64_t n = 32;
+      Tensor a = Tensor::randn({m, k}, rng);
+      Tensor bt = Tensor::randn({n, k}, rng);  // gemm_nt: B is [N, K]
+      Tensor bias = Tensor::randn({n}, rng);
+      GemmEpilogue ep;
+      ep.col_bias = bias.data();
+      Tensor c({m, n});
+      const uint64_t before = pool.regions();
+      gemm_nt_ex(m, n, k, a.data(), bt.data(), c.data(), ep);
+      EXPECT_EQ(pool.regions(), before) << "m=" << m << " k=" << k;
+      Tensor b({k, n});
+      for (int64_t j = 0; j < n; ++j)
+        for (int64_t kk = 0; kk < k; ++kk)
+          b.data()[kk * n + j] = bt.data()[j * k + kk];
+      Tensor ref({m, n});
+      naive_gemm(m, n, k, a.data(), b.data(), ref.data());
+      for (int64_t i = 0; i < m * n; ++i)
+        EXPECT_NEAR(c.data()[i], ref.data()[i] + bias.data()[i % n], 1e-4f);
+    }
 }
 
 TEST(Gemm, AccumulatesIntoC) {

@@ -28,6 +28,7 @@
 #include "quant/quantizer.h"
 #include "serve/session.h"
 #include "tensor/random.h"
+#include "tensor/threadpool.h"
 
 namespace ripple {
 namespace {
@@ -263,6 +264,19 @@ TEST(Int8Gemm, MatchesNaiveOracleBothOrientations) {
     ConvProblem conv(6, 27, 21, 8);
     expect_bit_equal(conv.run_oracle(), conv.run(), "conv == oracle");
   }
+}
+
+TEST(Int8Gemm, SmallServingGemmRunsInline) {
+  // The gate GEMM of a 128-hidden LSTM serving 8 MC rows (k = 128, 512
+  // outputs) is 2^20 integer ops, but a u8×s8 multiply-add counts a
+  // quarter of an fp32 one toward ThreadPool::kMinParallelWork, so it runs
+  // on the caller and opens no parallel region.
+  LinearProblem lin(8, 128, 512, 9);
+  ThreadPool& pool = ThreadPool::global();
+  const uint64_t before = pool.regions();
+  const Tensor c = lin.run();
+  EXPECT_EQ(pool.regions(), before);
+  expect_bit_equal(lin.run_oracle(), c, "serving gemm == oracle");
 }
 
 TEST(Int8Gemm, FusedEpilogueMatchesUnfusedAffine) {

@@ -21,6 +21,7 @@
 #include "models/resnet.h"
 #include "models/unet.h"
 #include "serve/session.h"
+#include "tensor/gemm.h"
 #include "tensor/random.h"
 
 namespace ripple {
@@ -147,6 +148,50 @@ TEST(Plan, LstmCompiledMatchesGraph) {
   Rng rng(5);
   check_compiled_matches_graph(model, options_for(TaskKind::kRegression, 4),
                                Tensor::randn({4, 12, 1}, rng), "lstm");
+}
+
+TEST(Plan, HeldPanelsFallBackWhenTheKernelWidthChanges) {
+  // Compiled linear steps hold the pack cache's weight panels, packed for
+  // the kernel dispatched at compile time. After set_gemm_backend switches
+  // to a kernel of another panel width (nr), the plan must re-pack rather
+  // than feed the held panels to the new kernel, and still serve the
+  // graph's bits under that kernel.
+  struct RestoreBackend {
+    ~RestoreBackend() { set_gemm_backend(GemmBackend::kAuto); }
+  } restore;
+  models::LstmForecaster model({.hidden = 8, .window = 12}, proposed());
+  model.set_training(false);
+  model.deploy();
+  const SessionOptions opts = options_for(TaskKind::kRegression, 4);
+  Rng rng(11);
+  const Tensor x = Tensor::randn({2, 12, 1}, rng);
+
+  set_gemm_backend(GemmBackend::kScalar);
+  const int64_t scalar_nr = gemm_kernel_nr();
+  Tensor graph_stacked;
+  {
+    SessionOptions graph = opts;
+    graph.compile = false;
+    InferenceSession oracle(model, graph);
+    graph_stacked = oracle.mc_outputs(x);
+  }
+
+  set_gemm_backend(GemmBackend::kSimd);
+  InferenceSession session(model, opts);
+  const PlanInfo info = session.precompile(x.shape());
+  ASSERT_TRUE(info.compiled) << info.fallback_reason;
+  int linear_steps = 0;
+  for (const deploy::PlanOpProfile& op : info.op_profile)
+    linear_steps += op.tag == deploy::OpTag::kLinear;
+  EXPECT_GT(linear_steps, 0);
+  EXPECT_EQ(info.stats.held_panels, linear_steps);
+  if (gemm_kernel_nr() == scalar_nr)
+    GTEST_SKIP() << "the SIMD kernel (" << gemm_backend_name()
+                 << ") packs panels as wide as the scalar kernel's";
+
+  set_gemm_backend(GemmBackend::kScalar);
+  expect_bit_equal(graph_stacked, session.mc_outputs(x),
+                   "scalar kernel after a SIMD compile");
 }
 
 TEST(Plan, UNetCompiledMatchesGraph) {
