@@ -24,13 +24,22 @@ struct InParallelScope {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads) {
+// With one thread, loops run inline and no workers are ever spawned.
+ThreadPool::ThreadPool(int num_threads)
+    : num_workers_(num_threads == 1 ? 0 : num_threads) {
   RIPPLE_CHECK(num_threads >= 1) << "pool needs >= 1 thread";
-  // With one thread, loops run inline; no workers are spawned.
-  if (num_threads == 1) return;
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i)
+}
+
+void ThreadPool::start_workers() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  workers_.reserve(static_cast<size_t>(num_workers_));
+  for (int i = 0; i < num_workers_; ++i)
     workers_.emplace_back([this] { worker_loop(); });
+}
+
+bool ThreadPool::started() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return !workers_.empty();
 }
 
 ThreadPool::~ThreadPool() {
@@ -97,7 +106,7 @@ void ThreadPool::parallel_run(int64_t n, int64_t work_per_index,
   const int64_t grain = (kMinParallelWork + work - 1) / work;
   const int64_t participants = size() + 1;
   const int64_t chunks = std::min(n / grain, participants * 4);
-  if (workers_.empty() || chunks <= 1 || tl_in_parallel) {
+  if (num_workers_ == 0 || chunks <= 1 || tl_in_parallel) {
     InParallelScope scope;
     body(0, n);
     return;
@@ -110,6 +119,7 @@ void ThreadPool::parallel_run(int64_t n, int64_t work_per_index,
     body(0, n);
     return;
   }
+  if (workers_.empty()) start_workers();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     task_body_ = body;

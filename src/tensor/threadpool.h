@@ -18,6 +18,11 @@
 // threads serialize by letting the loser run its range inline. On
 // single-core machines (or with RIPPLE_THREADS=1) parallel_for degrades to
 // an inline serial loop with zero synchronization overhead.
+//
+// Workers start at the pool's first parallel region, not at construction:
+// a process whose loops all run inline stays single-threaded, and keeps
+// the C library's and libstdc++'s single-threaded fast paths (plain
+// shared_ptr reference counts, unlocked malloc).
 #pragma once
 
 #include <atomic>
@@ -47,7 +52,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int size() const { return static_cast<int>(workers_.size()); }
+  /// Worker threads this pool runs its regions on (started at the first
+  /// region; the caller is one more participant).
+  int size() const { return num_workers_; }
+
+  /// True once the workers have been started (at the first parallel
+  /// region).
+  bool started() const;
 
   /// Parallel regions this pool has opened (loops that ran inline do not
   /// count).
@@ -81,11 +92,14 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
+  /// Spawns the workers; called by the region owner under run_mutex_.
+  void start_workers();
   void worker_loop();
   /// Claims and runs chunks of the active task until the range is
   /// exhausted. Marks the calling thread as inside a parallel region.
   void run_task_chunks();
 
+  const int num_workers_;
   std::vector<std::thread> workers_;
 
   // Active parallel-region descriptor. Written by parallel_run under

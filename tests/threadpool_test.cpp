@@ -58,6 +58,27 @@ TEST(ThreadPool, WorkBelowThresholdRunsInlineWithoutWaking) {
   EXPECT_EQ(pool.regions(), 0u);  // no worker was ever woken
 }
 
+TEST(ThreadPool, WorkersStartAtFirstParallelRegion) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4);
+  EXPECT_FALSE(pool.started());
+  int64_t sum = 0;
+  const auto inline_body = [&](int64_t begin, int64_t end) {
+    sum += end - begin;
+  };
+  pool.parallel_run(1000, /*work_per_index=*/1, loop_ref(inline_body));
+  EXPECT_FALSE(pool.started());  // an inline loop starts no thread
+  std::atomic<int64_t> count{0};
+  const auto body = [&](int64_t begin, int64_t end) { count += end - begin; };
+  pool.parallel_run(64, /*work_per_index=*/kMin, loop_ref(body));
+  EXPECT_TRUE(pool.started());
+  EXPECT_EQ(pool.size(), 4);
+  EXPECT_EQ(sum + count.load(), 1064);
+  pool.parallel_run(64, /*work_per_index=*/kMin, loop_ref(body));
+  EXPECT_EQ(count.load(), 128);
+  EXPECT_EQ(pool.regions(), 2u);
+}
+
 TEST(ThreadPool, WorkAboveThresholdSplitsIntoThresholdChunks) {
   ThreadPool pool(4);
   for (const int64_t n : {int64_t{2}, int64_t{7}, int64_t{1000}, int64_t{4099}}) {
